@@ -43,10 +43,8 @@ from .pruning import (
     PruneHyperParams,
     PruneTrace,
     adaptive_prune,
-    checkpoint,
     prunable_zero_fraction,
     prune_step,
-    restore,
     select_prune_targets,
 )
 from .metrics import (

@@ -26,7 +26,7 @@ from . import data as dataio
 from .energy import PAPER_CONSISTENT, PER_NEURON, EnergyParams, energy_report
 from .metrics import DegenerateTruthError, evaluate_segments
 from .network import LifParams, NetworkConfig
-from .pruning import TRACE_COLUMNS, PruneHyperParams, adaptive_prune
+from .pruning import TRACE_COLUMNS, PruneHyperParams, TraceEvent, adaptive_prune
 from .training import TrainConfig, TrainingDivergedError, pretrain
 
 EXIT_OK = 0
@@ -97,7 +97,7 @@ def _train_config(cfg: dict, finetune: bool = False) -> TrainConfig:
     return TrainConfig(learning_rate=t["learning_rate"], max_epochs=t["max_epochs"],
                        batch_length=t["batch_length"],
                        surrogate_width=t["surrogate_width"],
-                       optimizer=t["optimizer"], seed=cfg["seed"])
+                       optimizer=t["optimizer"])
 
 
 def _prune_params(cfg: dict, mode=None, scope=None) -> PruneHyperParams:
@@ -121,8 +121,13 @@ def _network_config(cfg: dict, channels: int, dt_ms: float) -> NetworkConfig:
                               lif=lif, seed=cfg["seed"])
 
 
-def _load_split(cfg: dict):
+def _load_split(cfg: dict, net=None):
+    """Load and split the configured session, checking it fits `net` if given."""
     session = dataio.load_session(cfg["data"]["session"])
+    if net is not None and session.channels != net.input_dim:
+        raise dataio.SessionDimensionError(
+            f"checkpoint expects {net.input_dim} channels, session has {session.channels}"
+        )
     spec = dataio.SplitSpec(n_subsessions=cfg["data"]["n_subsessions"])
     return session, dataio.split_session(session, spec)
 
@@ -139,10 +144,7 @@ class CsvTraceSink:
         self._f.flush()
 
     def __call__(self, event) -> None:
-        self.row(event.csv_row())
-
-    def row(self, fields) -> None:
-        self._f.write(",".join(fields) + "\n")
+        self._f.write(",".join(event.csv_row()) + "\n")
         self._f.flush()
 
     def comment(self, text: str) -> None:
@@ -180,8 +182,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     sink = CsvTraceSink(out_dir / "pretrain_trace.csv", digest)
 
     def log(epoch, train_loss, val_loss):
-        sink.row([str(epoch), "epoch", str(epoch + 1),
-                  repr(float(train_loss)), repr(float(val_loss)), "", "0.0"])
+        sink(TraceEvent(epoch, "epoch", epoch + 1, train_loss, val_loss, None, 0.0))
 
     net, target_loss = pretrain(net_config, split, tc, log=log)
     sink.close()
@@ -198,11 +199,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
 def cmd_prune(cfg: dict, out_dir: Path, checkpoint_path, mode=None, scope=None) -> int:
     digest = config_digest(cfg)
     net, meta = ckpt.load_checkpoint(checkpoint_path)
-    session, split = _load_split(cfg)
-    if session.channels != net.input_dim:
-        raise dataio.SessionDimensionError(
-            f"checkpoint expects {net.input_dim} channels, session has {session.channels}"
-        )
+    session, split = _load_split(cfg, net)
     hp = _prune_params(cfg, mode=mode, scope=scope)
     tc = _train_config(cfg, finetune=True)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,11 +223,7 @@ def cmd_prune(cfg: dict, out_dir: Path, checkpoint_path, mode=None, scope=None) 
 def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     digest = config_digest(cfg)
     net, meta = ckpt.load_checkpoint(checkpoint_path)
-    session, split = _load_split(cfg)
-    if session.channels != net.input_dim:
-        raise dataio.SessionDimensionError(
-            f"checkpoint expects {net.input_dim} channels, session has {session.channels}"
-        )
+    session, split = _load_split(cfg, net)
     report = evaluate_segments(net, split["test"])
     e = cfg["energy"]
     n_neurons = sum(net.config.layer_dims[1:])

@@ -20,12 +20,25 @@ cap. The readout layer is never pruned.
 Two ablation modes: "tolerance-only" keeps the tolerance gate but terminates
 (restoring the last good network) the first time patience is exhausted;
 "fixed" prunes at the starting rate after every `patience`-epoch block,
-unconditionally, until the cap.
+unconditionally, until the cap. All three modes run the same loop; fixed
+mode simply has no gate, so it never rolls back and raises
+TrainingDivergedError if fine-tuning diverges, where the gated modes treat
+divergence as an exhausted patience.
+
+The terminating event carries one of four reasons:
+
+- "min-rate" (full-adaptive): halving took the rate below `p_min`;
+- "pruned-max" (all modes): the mask-zero count reached the cap,
+  floor(pruned_max * prunable weights);
+- "nothing-left-to-prune" (all modes): a step at the current rate would
+  remove no weight, because its share of every selection group rounds to
+  zero or the groups it would take from are already empty;
+- "patience-exhausted" (tolerance-only): the first failed step was
+  rolled back.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +54,6 @@ __all__ = [
     "select_prune_targets",
     "prune_step",
     "prunable_zero_fraction",
-    "checkpoint",
-    "restore",
     "EngineTrainer",
     "adaptive_prune",
     "TRACE_COLUMNS",
@@ -159,31 +170,35 @@ def prunable_zero_fraction(net: Network) -> float:
     return sum(l.n_masked for l in layers) / total
 
 
-def select_prune_targets(layer: WeightLayer, count: int):
-    """Indices of the `count` smallest-magnitude unmasked weights.
+def select_prune_targets(layers: list[WeightLayer], count: int):
+    """The `count` smallest-magnitude unmasked weights pooled over `layers`.
 
-    Ties break by (row, col) lexicographic order. A count beyond the number
-    of unmasked weights is clamped. Returns (rows, cols) index arrays.
+    Ties break by (position in `layers`, row, col) lexicographic order. A
+    count beyond the number of unmasked weights is clamped. Returns
+    (layer_idx, rows, cols) index arrays, layer_idx indexing into `layers`.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    rows, cols = np.nonzero(layer.mask)
-    count = min(count, rows.size)
-    if count == 0:
-        return rows[:0], cols[:0]
-    magnitudes = np.abs(layer.weights[rows, cols])
-    order = np.lexsort((cols, rows, magnitudes))[:count]
-    return rows[order], cols[order]
+    live = [np.nonzero(layer.mask) for layer in layers]
+    layer_idx = np.concatenate([np.full(r.size, i) for i, (r, _) in enumerate(live)])
+    rows = np.concatenate([r for r, _ in live])
+    cols = np.concatenate([c for _, c in live])
+    mags = np.concatenate([np.abs(layer.weights[r, c])
+                           for layer, (r, c) in zip(layers, live)])
+    order = np.lexsort((cols, rows, layer_idx, mags))[:count]
+    return layer_idx[order], rows[order], cols[order]
 
 
 def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
                max_total_zeros: int | None = None) -> PruneStepInfo:
     """Mask out the lowest-magnitude weights at `rate`% of original counts.
 
-    Per-layer scope removes round(rate% * layer size) in each prunable layer;
-    global scope pools all prunable layers and removes round(rate% * pool
-    size) overall. Masks are monotone. `max_total_zeros` caps the total
-    mask-zero count across prunable layers (cumulative-cap clamping).
+    The prunable layers form selection groups: each layer on its own in
+    per-layer scope, all of them pooled in global scope. Each group loses
+    round(rate% * group size) weights, clamped to what it still has. Masks
+    are monotone. `max_total_zeros` caps the total mask-zero count across
+    prunable layers (cumulative-cap clamping), spent group by group in
+    layer order.
     """
     if scope not in (PER_LAYER, GLOBAL):
         raise ValueError(f"unknown scope {scope!r}")
@@ -199,62 +214,27 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
             info.clamped = True
             return info
 
-    if scope == PER_LAYER:
-        for i, layer in enumerate(prunable):
-            count = round(rate / 100.0 * layer.n_weights)
-            available = layer.n_weights - layer.n_masked
-            if count > available:
-                count = available
+    indices = list(range(len(prunable)))
+    groups = [[i] for i in indices] if scope == PER_LAYER else [indices]
+    for group in groups:
+        layers = [prunable[i] for i in group]
+        count = round(rate / 100.0 * sum(l.n_weights for l in layers))
+        available = sum(l.n_weights - l.n_masked for l in layers)
+        if count > available:
+            count = available
+            info.clamped = True
+        if budget is not None:
+            if count > budget:
+                count = budget
                 info.clamped = True
-            if budget is not None:
-                if count > budget:
-                    count = budget
-                    info.clamped = True
-                budget -= count
-            rows, cols = select_prune_targets(layer, count)
-            layer.mask[rows, cols] = 0
+            budget -= count
+        layer_idx, rows, cols = select_prune_targets(layers, count)
+        for j, layer in enumerate(layers):
+            sel = layer_idx == j
+            layer.mask[rows[sel], cols[sel]] = 0
             layer.apply_mask()
-            info.removed_per_layer[i] = rows.size
-        return info
-
-    total = sum(l.n_weights for l in prunable)
-    count = round(rate / 100.0 * total)
-    available = sum(l.n_weights - l.n_masked for l in prunable)
-    if count > available:
-        count = available
-        info.clamped = True
-    if budget is not None and count > budget:
-        count = budget
-        info.clamped = True
-    mags, layer_idx, rows, cols = [], [], [], []
-    for i, layer in enumerate(prunable):
-        r, c = np.nonzero(layer.mask)
-        mags.append(np.abs(layer.weights[r, c]))
-        layer_idx.append(np.full(r.size, i))
-        rows.append(r)
-        cols.append(c)
-    mags = np.concatenate(mags)
-    layer_idx = np.concatenate(layer_idx)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    order = np.lexsort((cols, rows, layer_idx, mags))[:count]
-    for i, layer in enumerate(prunable):
-        sel = order[layer_idx[order] == i]
-        layer.mask[rows[sel], cols[sel]] = 0
-        layer.apply_mask()
-        info.removed_per_layer[i] = sel.size
+            info.removed_per_layer[group[j]] = int(np.count_nonzero(sel))
     return info
-
-
-def checkpoint(net: Network) -> dict:
-    """Full in-memory snapshot (weights, masks, parameters)."""
-    return net.snapshot()
-
-
-def restore(net: Network, snap: dict) -> Network:
-    """Bitwise restore of a snapshot into `net`."""
-    net.restore(snap)
-    return net
 
 
 class EngineTrainer:
@@ -298,31 +278,19 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
         for l in dense_net.layers
     ])
     trace = PruneTrace(trace_sink)
-    if hp.mode == FIXED:
-        return _run_fixed(net, trainer, hp, trace)
-    return _run_adaptive(net, trainer, hp, trace)
-
-
-def _zero_budget(pruned_max: float, total: int) -> int:
-    # tiny epsilon so an exactly-representable cap (e.g. 0.95 * 9800) is not
-    # floored away by float rounding
-    return int(np.floor(pruned_max * total + 1e-6))
-
-
-def _run_adaptive(net: Network, trainer, hp: PruneHyperParams, trace: PruneTrace):
-    target_loss = trainer.validate(net)
-    total_prunable = sum(l.n_weights for l in net.prunable_layers())
-    max_zeros = _zero_budget(hp.pruned_max, total_prunable)
+    fixed = hp.mode == FIXED
+    # fixed mode has no gate: a step is accepted after exactly `patience` epochs
+    gate = None if fixed else trainer.validate(net) * (1.0 + hp.tolerance)
+    prunable = net.prunable_layers()
+    max_zeros = _zero_budget(hp.pruned_max, sum(l.n_weights for l in prunable))
     rate = hp.p_start
     pruned = prunable_zero_fraction(net)
     epoch_count = 0
     reason = ""
 
-    while rate >= hp.p_min and pruned < hp.pruned_max:
-        snap = checkpoint(net)
-        info = prune_step(net, rate, hp.scope, max_total_zeros=max_zeros)
-        if info.total_removed == 0:
-            restore(net, snap)
+    while rate >= hp.p_min and sum(l.n_masked for l in prunable) < max_zeros:
+        snap = net.snapshot()
+        if prune_step(net, rate, hp.scope, max_total_zeros=max_zeros).total_removed == 0:
             reason = "nothing-left-to-prune"
             break
         pruned = prunable_zero_fraction(net)
@@ -330,18 +298,15 @@ def _run_adaptive(net: Network, trainer, hp: PruneHyperParams, trace: PruneTrace
 
         current = np.inf
         fine_tune_epochs = 0
-        while current > target_loss * (1.0 + hp.tolerance):
+        while (fine_tune_epochs < hp.patience) if fixed else (current > gate):
             if fine_tune_epochs > hp.patience:
-                if hp.mode == TOLERANCE_ONLY:
-                    restore(net, snap)
-                    pruned = prunable_zero_fraction(net)
-                    trace.rollback(epoch_count, pruned, rate)
-                    reason = "patience-exhausted"
-                    break
-                restore(net, snap)
+                net.restore(snap)
                 pruned = prunable_zero_fraction(net)
-                rate = rate / 2.0
-                trainer.reset_optimizer()
+                if hp.mode == TOLERANCE_ONLY:
+                    reason = "patience-exhausted"
+                else:
+                    rate = rate / 2.0
+                    trainer.reset_optimizer()
                 trace.rollback(epoch_count, pruned, rate)
                 break
             train_loss = trainer.train_epoch(net)
@@ -350,7 +315,11 @@ def _run_adaptive(net: Network, trainer, hp: PruneHyperParams, trace: PruneTrace
             fine_tune_epochs += 1
             trace.epoch(epoch_count, train_loss, current, rate, pruned)
             if not np.isfinite(train_loss) or not np.isfinite(current):
-                # diverged: treat exactly like an exhausted patience
+                if fixed:
+                    raise TrainingDivergedError(
+                        f"fixed-mode fine-tuning diverged at epoch {epoch_count}"
+                    )
+                # gated modes treat divergence exactly like an exhausted patience
                 fine_tune_epochs = hp.patience + 1
                 current = np.inf
         if reason:
@@ -362,26 +331,7 @@ def _run_adaptive(net: Network, trainer, hp: PruneHyperParams, trace: PruneTrace
     return net, trace
 
 
-def _run_fixed(net: Network, trainer, hp: PruneHyperParams, trace: PruneTrace):
-    """Ablation: prune p_start every `patience` epochs, no gate, no rollback."""
-    total_prunable = sum(l.n_weights for l in net.prunable_layers())
-    max_zeros = _zero_budget(hp.pruned_max, total_prunable)
-    pruned = prunable_zero_fraction(net)
-    epoch_count = 0
-    while pruned < hp.pruned_max:
-        info = prune_step(net, hp.p_start, hp.scope, max_total_zeros=max_zeros)
-        if info.total_removed == 0:
-            break
-        pruned = prunable_zero_fraction(net)
-        trace.prune_applied(epoch_count, hp.p_start, pruned)
-        for _ in range(hp.patience):
-            train_loss = trainer.train_epoch(net)
-            val_loss = trainer.validate(net)
-            epoch_count += 1
-            trace.epoch(epoch_count, train_loss, val_loss, hp.p_start, pruned)
-            if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-                raise TrainingDivergedError(
-                    f"fixed-mode fine-tuning diverged at epoch {epoch_count}"
-                )
-    trace.terminated(epoch_count, "pruned-max", hp.p_start, pruned)
-    return net, trace
+def _zero_budget(pruned_max: float, total: int) -> int:
+    # tiny epsilon so an exactly-representable cap (e.g. 0.95 * 9800) is not
+    # floored away by float rounding
+    return int(np.floor(pruned_max * total + 1e-6))

@@ -53,7 +53,6 @@ class TrainConfig:
     batch_length: int = 100
     surrogate_width: float = 1.0
     optimizer: str = "adam"
-    seed: int = 0
     spike_mode: str = SPIKING  # DIFFERENTIABLE is test-only
 
     def __post_init__(self):

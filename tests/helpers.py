@@ -2,8 +2,8 @@
 
 Everything here is deliberately independent of the library's fast paths:
 the forward reference is a plain-Python scalar loop, gradient checks use
-central finite differences over the public loss, and operation counts come
-from a brute-force quadruple loop.
+central finite differences over the public loss, operation counts come from
+a brute-force quadruple loop, and prune selection from a plain-Python sort.
 """
 
 import math
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spikeprune.network import Network, NetworkConfig
+from spikeprune.pruning import PER_LAYER
 from spikeprune.pruning import prunable_zero_fraction
 from spikeprune.training import DIFFERENTIABLE, compute_gradients
 
@@ -93,6 +94,54 @@ def brute_force_ops(record, net):
                     if pre_acts[pre] != 0 and eff[post, pre] != 0.0:
                         total += 1
     return total
+
+
+def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
+    """Prune-step oracle: a plain-Python sort of (|w|, layer, row, col) tuples.
+
+    Each prunable layer is a group in per-layer scope; all of them form one
+    group in global scope. A group loses round(rate% * group size) of its
+    unmasked weights, clamped to what it has and then to what is left of the
+    cap budget, spent group by group in layer order. `net` is not touched;
+    returns (masks as nested lists, removed per prunable layer, clamped).
+    """
+    layers = [l for l in net.layers if l.prunable]
+    masks = [[[int(m) for m in row] for row in l.mask] for l in layers]
+    removed = [0] * len(layers)
+    budget = None
+    if max_total_zeros is not None:
+        zeros = sum(row.count(0) for mask in masks for row in mask)
+        budget = max_total_zeros - zeros
+    if not layers or (budget is not None and budget <= 0):
+        return masks, removed, True
+    clamped = False
+    if scope == PER_LAYER:
+        groups = [[i] for i in range(len(layers))]
+    else:
+        groups = [list(range(len(layers)))]
+    for group in groups:
+        size = 0
+        live = []
+        for i in group:
+            w = layers[i].weights
+            for r in range(w.shape[0]):
+                for c in range(w.shape[1]):
+                    size += 1
+                    if masks[i][r][c]:
+                        live.append((abs(float(w[r, c])), i, r, c))
+        count = round(rate / 100.0 * size)
+        if count > len(live):
+            count = len(live)
+            clamped = True
+        if budget is not None:
+            if count > budget:
+                count = budget
+                clamped = True
+            budget -= count
+        for _, i, r, c in sorted(live)[:count]:
+            masks[i][r][c] = 0
+            removed[i] += 1
+    return masks, removed, clamped
 
 
 class FakeTrainer:

@@ -95,6 +95,11 @@ class TestPipelineCommands:
         assert trace[0].startswith("# config_digest=")
         assert trace[1].split(",")[0] == "event_index"
         assert len(trace) == 2 + 2  # two epochs
+        for k, row in enumerate(trace[2:]):
+            index, kind, epoch, train, val, rate, pruned = row.split(",")
+            assert (index, kind, epoch) == (str(k), "epoch", str(k + 1))
+            assert np.isfinite(float(train)) and np.isfinite(float(val))
+            assert (rate, pruned) == ("", "0.0")
 
     def test_pretrain_rerun_is_byte_identical(self, prepared):
         p, tmp = prepared

@@ -8,6 +8,7 @@ from helpers import (
     TraceInvariantChecker,
     always_fail,
     always_succeed,
+    brute_force_prune,
     indy_net,
     small_net,
 )
@@ -17,12 +18,11 @@ from spikeprune.pruning import (
     TOLERANCE_ONLY,
     PruneHyperParams,
     adaptive_prune,
-    checkpoint,
     prunable_zero_fraction,
     prune_step,
-    restore,
     select_prune_targets,
 )
+from spikeprune.training import TrainingDivergedError
 
 HALVING_SEQUENCE = [10.0, 5.0, 2.5, 1.25, 0.625, 0.3125, 0.15625]
 
@@ -33,27 +33,31 @@ class TestSelectTargets:
         return WeightLayer(w, np.ones_like(w, dtype=np.uint8))
 
     def test_smallest_magnitude(self):
-        rows, cols = select_prune_targets(self.layer([0.5, -0.1, 0.3]), 1)
-        assert (rows[0], cols[0]) == (0, 1)
+        idx, rows, cols = select_prune_targets([self.layer([0.5, -0.1, 0.3])], 1)
+        assert (idx[0], rows[0], cols[0]) == (0, 0, 1)
 
     def test_count_zero(self):
-        rows, cols = select_prune_targets(self.layer([0.5, -0.1]), 0)
-        assert rows.size == 0 and cols.size == 0
+        idx, rows, cols = select_prune_targets([self.layer([0.5, -0.1])], 0)
+        assert idx.size == 0 and rows.size == 0 and cols.size == 0
 
     def test_tie_break_lexicographic(self):
-        rows, cols = select_prune_targets(self.layer([0.2, -0.2, 0.7]), 1)
+        _, rows, cols = select_prune_targets([self.layer([0.2, -0.2, 0.7])], 1)
         assert (rows[0], cols[0]) == (0, 0)
+        # across layers a tie goes to the earlier layer first
+        pool = [self.layer([0.7, 0.2]), self.layer([-0.2, 0.1])]
+        idx, rows, cols = select_prune_targets(pool, 3)
+        assert list(zip(idx, rows, cols)) == [(1, 0, 1), (0, 0, 1), (1, 0, 0)]
 
     def test_clamps_to_available(self):
         layer = self.layer([0.5, -0.1, 0.3])
         layer.mask[0, 0] = 0
-        rows, _ = select_prune_targets(layer, 5)
+        _, rows, _ = select_prune_targets([layer], 5)
         assert rows.size == 2
 
     def test_skips_masked(self):
         layer = self.layer([0.01, 0.5, 0.3])
         layer.mask[0, 0] = 0
-        rows, cols = select_prune_targets(layer, 1)
+        _, rows, cols = select_prune_targets([layer], 1)
         assert (rows[0], cols[0]) == (0, 2)
 
 
@@ -100,17 +104,44 @@ class TestPruneStep:
             assert not layer.weights[layer.mask == 0].any()
 
 
+    def test_matches_brute_force_oracle(self):
+        master = np.random.default_rng(77)
+        for trial in range(60):
+            rng = np.random.default_rng(int(master.integers(1 << 30)))
+            hidden = tuple(int(h) for h in rng.integers(3, 9, size=3))
+            net = Network.from_config(
+                NetworkConfig.snn3(int(rng.integers(3, 9)), hidden=hidden,
+                                   seed=int(rng.integers(1 << 30))))
+            if trial % 2:
+                # few distinct magnitudes, so most comparisons are ties
+                for layer in net.layers:
+                    layer.weights[:] = rng.integers(-3, 4, layer.weights.shape) * 0.25
+            scope = str(rng.choice(["per-layer", "global"]))
+            total = sum(l.n_weights for l in net.prunable_layers())
+            cap = None if trial % 3 == 0 else int(rng.integers(0, total + 1))
+            for _ in range(int(rng.integers(1, 5))):
+                rate = float(rng.choice([0.5, 3.3, 10.0, 37.0, 80.0, 150.0]))
+                masks, removed, clamped = brute_force_prune(net, rate, scope, cap)
+                info = prune_step(net, rate, scope, max_total_zeros=cap)
+                assert info.removed_per_layer == removed
+                assert info.clamped == clamped
+                for layer, mask in zip(net.prunable_layers(), masks):
+                    assert layer.mask.tolist() == mask
+                    assert not layer.weights[layer.mask == 0].any()
+                assert net.layers[-1].mask.all()
+
+
 class TestCheckpointRestore:
     def test_roundtrip_bitwise(self):
         net = small_net(seed=6)
         prune_step(net, 20.0, "per-layer")
-        snap = checkpoint(net)
+        snap = net.snapshot()
         w = [l.weights.copy() for l in net.layers]
         m = [l.mask.copy() for l in net.layers]
         for layer in net.layers:
             layer.weights += np.pi
             layer.mask[:] = 1
-        restore(net, snap)
+        net.restore(snap)
         for layer, ww, mm in zip(net.layers, w, m):
             assert np.array_equal(layer.weights, ww)
             assert np.array_equal(layer.mask, mm)
@@ -119,10 +150,10 @@ class TestCheckpointRestore:
         net = small_net(seed=7)
         prune_step(net, 37.0, "per-layer")
         fraction = prunable_zero_fraction(net)
-        snap = checkpoint(net)
+        snap = net.snapshot()
         prune_step(net, 30.0, "per-layer")
         assert prunable_zero_fraction(net) > fraction
-        restore(net, snap)
+        net.restore(snap)
         assert prunable_zero_fraction(net) == fraction
 
 
@@ -206,6 +237,27 @@ class TestAdaptiveController:
         assert prunable_zero_fraction(net) == pytest.approx(0.9)
         assert not trace.of_kind("rollback")
         assert trace.events[-1].reason == "pruned-max"
+
+    def test_fixed_mode_divergence_raises(self):
+        # the fake's first validation returns the target, every later one NaN
+        trainer = FakeTrainer(lambda i: float("nan"))
+        events = []
+        with pytest.raises(TrainingDivergedError):
+            adaptive_prune(indy_net(seed=14), None, self.hp(mode=FIXED),
+                           trainer=trainer, trace_sink=events.append)
+        # fixed mode takes no target, so the first fine-tune epoch passes and
+        # the second one, which diverges, is logged before the raise
+        assert [e.kind for e in events] == ["prune-applied", "epoch", "epoch"]
+        assert np.isnan(events[-1].val_loss)
+
+    @pytest.mark.parametrize("mode", [FULL_ADAPTIVE, TOLERANCE_ONLY, FIXED])
+    def test_fractional_cap_stops_with_pruned_max(self, mode):
+        # 144 prunable weights: a 0.3 cap is 43.2 weights, floored to 43
+        dense = Network.from_config(NetworkConfig.snn3(12, hidden=(6, 6, 6), seed=15))
+        net, trace = adaptive_prune(dense, None, self.hp(mode=mode, pruned_max=0.3),
+                                    trainer=always_succeed())
+        assert trace.events[-1].reason == "pruned-max"
+        assert prunable_zero_fraction(net) == trace.events[-1].pruned == 43 / 144
 
     def test_input_net_is_not_mutated(self):
         dense = indy_net(seed=13)
