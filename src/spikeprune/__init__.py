@@ -2,7 +2,7 @@
 
 Library layout:
 
-- network: LIF dynamics, masked dense layers, full-sequence execution
+- network: LIF dynamics, masked dense layers, the one forward kernel
 - training: surrogate-gradient BPTT, optimizers, pretraining
 - pruning: the adaptive prune/fine-tune/rollback controller and its trace
 - metrics: R^2, connection/activation sparsity, effective synaptic ops
@@ -17,13 +17,9 @@ from .network import (
     LifParams,
     Network,
     NetworkConfig,
-    NeuronState,
     WeightLayer,
-    layer_forward,
-    lif_membrane_update,
+    forward_window,
     network_forward,
-    reset_state,
-    spike_and_reset,
 )
 from .training import (
     AdamOptimizer,

@@ -6,6 +6,18 @@ whose membrane potentials are read out directly as the X/Y velocity
 prediction. Per timestep each neuron decays its membrane by exp(-dt/tau),
 integrates the masked weighted sum of presynaptic spikes, and (if spiking)
 fires and resets wherever the membrane reaches the threshold.
+
+One kernel, `forward_window`, runs these dynamics: a window of timesteps
+for B equal-length sequences in lockstep, from a given membrane state.
+Training, validation and eval all call it. `network_forward` runs one
+sequence through it at B=1 in fixed windows, carrying the state across, so
+eval memory stays bounded on long sessions without changing a bit.
+
+Eval stays per sequence because BLAS rounds a GEMM row differently
+depending on how many rows the call has: the same sequence batched with
+others (or all timesteps of a layer in one GEMM) can differ in the last
+bit. Splitting time into windows at a fixed B changes nothing, so eval at
+B=1 equals `validate` on a single segment bit for bit.
 """
 
 from __future__ import annotations
@@ -19,15 +31,19 @@ __all__ = [
     "LifParams",
     "NetworkConfig",
     "WeightLayer",
-    "NeuronState",
     "ActivationRecord",
     "Network",
-    "lif_membrane_update",
-    "spike_and_reset",
-    "layer_forward",
+    "forward_window",
     "network_forward",
-    "reset_state",
 ]
+
+SPIKING = "spiking"
+DIFFERENTIABLE = "differentiable"
+
+# Timesteps per kernel call in network_forward. It bounds eval memory: each
+# call holds a few [window x H] float64 arrays per layer, however long the
+# sequence is.
+_EVAL_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -150,17 +166,6 @@ class WeightLayer:
 
 
 @dataclass
-class NeuronState:
-    """Per-layer membrane potentials carried across timesteps."""
-
-    membranes: list[np.ndarray]
-    t: int = 0
-
-    def copy(self) -> "NeuronState":
-        return NeuronState([m.copy() for m in self.membranes], self.t)
-
-
-@dataclass
 class ActivationRecord:
     """Everything a metrics pass needs from one forward run.
 
@@ -186,51 +191,6 @@ class ActivationRecord:
         for i, s in enumerate(self.hidden_spikes):
             yield f"hidden{i + 1}", s
         yield "output", self.output_membrane
-
-
-def lif_membrane_update(u_prev: np.ndarray, input_current: np.ndarray,
-                        params: LifParams) -> np.ndarray:
-    """One membrane step: decay the previous potential, add the input current."""
-    u_prev = np.asarray(u_prev, dtype=np.float64)
-    input_current = np.asarray(input_current, dtype=np.float64)
-    if u_prev.shape != input_current.shape:
-        raise ValueError(
-            f"membrane shape {u_prev.shape} != input current shape {input_current.shape}"
-        )
-    return u_prev * params.decay + input_current
-
-
-def spike_and_reset(u: np.ndarray, params: LifParams):
-    """Fire wherever the membrane reaches the threshold (>=), reset those neurons.
-
-    Returns (spikes, u_after) with spikes in {0.0, 1.0}.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    spikes = (u >= params.threshold).astype(np.float64)
-    u_after = np.where(spikes > 0, params.reset_value, u)
-    return spikes, u_after
-
-
-def layer_forward(pre_spikes: np.ndarray, layer: WeightLayer,
-                  membrane: np.ndarray, params: LifParams, spiking: bool):
-    """Advance one layer by one timestep.
-
-    Input current is (weights * mask) @ pre_spikes. Spiking layers return
-    their binary spike vector and the post-reset membrane; the non-spiking
-    readout returns the raw membrane unchanged.
-    """
-    pre_spikes = np.asarray(pre_spikes, dtype=np.float64)
-    if pre_spikes.shape[-1] != layer.weights.shape[1]:
-        raise ValueError(
-            f"presynaptic dim {pre_spikes.shape[-1]} != layer input dim "
-            f"{layer.weights.shape[1]}"
-        )
-    current = layer.effective() @ pre_spikes
-    u = lif_membrane_update(membrane, current, params)
-    if spiking:
-        spikes, u_after = spike_and_reset(u, params)
-        return spikes, u_after
-    return u, u
 
 
 class Network:
@@ -298,53 +258,85 @@ class Network:
             layer.mask = m.copy()
             layer.prunable = p
 
-    def forward(self, spikes: np.ndarray):
-        return network_forward(self, spikes)
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
-def reset_state(net: Network) -> NeuronState:
-    """All-zero membranes for every layer."""
-    return NeuronState(
-        membranes=[np.zeros(net.config.layer_dims[i + 1]) for i in range(net.config.n_layers)],
-        t=0,
-    )
+def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
+                   mode: str = SPIKING, width: float = 1.0):
+    """Run one window of B sequences; returns (acts, membranes, final_state).
+
+    x is [Tw x B x input_dim] float64: B independent equal-length sequences
+    advance in lockstep. state holds one [B x H] membrane array per
+    connection layer and is not mutated. acts[0] is x and acts[l + 1] the
+    output of connection layer l (its spikes, or for the readout its
+    membrane, so acts[-1] is the prediction); membranes[l] is layer l's
+    pre-reset membrane. Both are [Tw x B x H] per layer. DIFFERENTIABLE mode
+    (test-only) replaces the spike step with sigmoid((u - threshold)/width).
+    """
+    dims = net.config.layer_dims
+    if x.ndim != 3 or x.shape[2] != dims[0]:
+        raise ValueError(f"expected [Tw x B x {dims[0]}] input, got shape {x.shape}")
+    Tw, B = x.shape[0], x.shape[1]
+    if [np.shape(v) for v in state] != [(B, d) for d in dims[1:]]:
+        raise ValueError(f"state needs one [{B} x H] membrane array per layer")
+    n_layers = net.config.n_layers
+    eff_t = [l.effective().T.copy() for l in net.layers]
+    decays = [p.decay for p in net.config.lif_params]
+    acts = [x] + [np.zeros((Tw, B, dims[i + 1])) for i in range(n_layers)]
+    membranes = [np.zeros((Tw, B, dims[i + 1])) for i in range(n_layers)]
+    v = [m.copy() for m in state]
+    for t in range(Tw):
+        a = x[t]
+        for i in range(n_layers):
+            p = net.config.lif_params[i]
+            u = v[i] * decays[i] + a @ eff_t[i]
+            membranes[i][t] = u
+            if net.config.spiking_flags[i]:
+                if mode == SPIKING:
+                    s = (u >= p.threshold).astype(np.float64)
+                else:
+                    s = _sigmoid((u - p.threshold) / width)
+                v[i] = u * (1.0 - s) + p.reset_value * s
+                a = s
+            else:
+                v[i] = u
+                a = u
+            acts[i + 1][t] = a
+    return acts, membranes, v
 
 
 def network_forward(net: Network, spikes: np.ndarray):
-    """Run a full input sequence, carrying membrane state across timesteps.
+    """Run one sequence from zero membranes; returns (prediction, record).
 
     spikes is time-major [T x input_dim] binary. Returns the [T x 2] velocity
     prediction and an ActivationRecord of every spike and output membrane.
-    State starts at zero; the sequence is processed strictly in time order.
+    This is forward_window at B=1 over consecutive windows with the state
+    carried across, so it equals one whole-sequence kernel call bit for bit.
     """
-    spikes = np.asarray(spikes, dtype=np.float64)
+    spikes = np.asarray(spikes)
     if spikes.ndim != 2 or spikes.shape[1] != net.input_dim:
         raise ValueError(
             f"expected [T x {net.input_dim}] input, got shape {spikes.shape}"
         )
     T = spikes.shape[0]
-    n_layers = net.config.n_layers
-    hidden = [np.zeros((T, net.config.layer_dims[i + 1]), dtype=np.uint8)
-              for i in range(n_layers - 1)]
+    dims = net.config.layer_dims
+    hidden = [np.zeros((T, d), dtype=np.uint8) for d in dims[1:-1]]
     out = np.zeros((T, 2))
-
-    state = reset_state(net)
-    effective = [l.effective() for l in net.layers]
-    decays = [p.decay for p in net.config.lif_params]
-    for t in range(T):
-        a = spikes[t]
-        for i in range(n_layers):
-            params = net.config.lif_params[i]
-            u = state.membranes[i] * decays[i] + effective[i] @ a
-            if net.config.spiking_flags[i]:
-                s, u = spike_and_reset(u, params)
-                hidden[i][t] = s.astype(np.uint8)
-                a = s
-            else:
-                out[t] = u
-                a = u
-            state.membranes[i] = u
-        state.t = t + 1
+    state = [np.zeros((1, d)) for d in dims[1:]]
+    for lo in range(0, T, _EVAL_WINDOW):
+        hi = min(lo + _EVAL_WINDOW, T)
+        x = spikes[lo:hi, None, :].astype(np.float64)
+        acts, _, state = forward_window(net, x, state)
+        for h, a in zip(hidden, acts[1:-1]):
+            h[lo:hi] = a[:, 0]
+        out[lo:hi] = acts[-1][:, 0]
 
     record = ActivationRecord(
         input_spikes=np.asarray(spikes != 0, dtype=np.uint8),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LifParams, Network, NetworkConfig
+from .network import DIFFERENTIABLE, SPIKING, LifParams, Network, NetworkConfig, forward_window
 
 __all__ = [
     "TrainConfig",
@@ -37,10 +37,6 @@ __all__ = [
     "validate",
     "pretrain",
 ]
-
-SPIKING = "spiking"
-DIFFERENTIABLE = "differentiable"
-
 
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite."""
@@ -74,15 +70,6 @@ def surrogate_spike_grad(u, params: LifParams, width: float):
     return np.maximum(0.0, 1.0 - np.abs(u - params.threshold) / width) / width
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -93,68 +80,20 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
-class _WindowCache:
-    """Forward-pass tensors needed by the backward pass, one truncated window."""
-
-    __slots__ = ("activations", "membranes", "spikes", "pred")
-
-    def __init__(self, activations, membranes, spikes, pred):
-        self.activations = activations  # a[0]=input window, a[l]=layer l output
-        self.membranes = membranes      # pre-reset u per layer, [Tw x B x H]
-        self.spikes = spikes            # spike output per hidden layer
-        self.pred = pred
-
-
-def _forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                    mode: str, width: float):
-    """Run one window, returning (cache, final_state). State is not mutated.
-
-    x is [Tw x B x input_dim]: B independent equal-length sequences advance in
-    lockstep (a deterministic, order-fixed batching of the same arithmetic).
-    """
-    Tw, B = x.shape[0], x.shape[1]
-    n_layers = net.config.n_layers
-    eff_t = [l.effective().T.copy() for l in net.layers]
-    decays = [p.decay for p in net.config.lif_params]
-    acts = [x] + [np.zeros((Tw, B, net.config.layer_dims[i + 1]))
-                  for i in range(n_layers)]
-    membranes = [np.zeros((Tw, B, net.config.layer_dims[i + 1]))
-                 for i in range(n_layers)]
-    spikes = [np.zeros((Tw, B, net.config.layer_dims[i + 1]))
-              for i in range(n_layers - 1)]
-    v = [m.copy() for m in state]
-    for t in range(Tw):
-        a = x[t]
-        for i in range(n_layers):
-            p = net.config.lif_params[i]
-            u = v[i] * decays[i] + a @ eff_t[i]
-            membranes[i][t] = u
-            if net.config.spiking_flags[i]:
-                if mode == SPIKING:
-                    s = (u >= p.threshold).astype(np.float64)
-                else:
-                    s = _sigmoid((u - p.threshold) / width)
-                spikes[i][t] = s
-                v[i] = u * (1.0 - s) + p.reset_value * s
-                a = s
-            else:
-                v[i] = u
-                a = u
-            acts[i + 1][t] = a
-    pred = acts[n_layers]
-    return _WindowCache(acts, membranes, spikes, pred), v
-
-
-def _backward_window(net: Network, cache: _WindowCache, truth: np.ndarray,
+def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
                      mode: str, width: float):
-    """Gradients of the window MSE w.r.t. every weight matrix."""
+    """Gradients of the window MSE w.r.t. every weight matrix.
+
+    acts and membranes are what forward_window returned for the window.
+    """
     Tw, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
     eff = [l.effective().copy() for l in net.layers]
     decays = [p.decay for p in net.config.lif_params]
-    deltas = [np.zeros_like(cache.membranes[i]) for i in range(n_layers)]
+    deltas = [np.zeros_like(membranes[i]) for i in range(n_layers)]
     carry = [np.zeros((B, net.config.layer_dims[i + 1])) for i in range(n_layers)]
-    dpred = (cache.pred - truth) * (2.0 / cache.pred.size)
+    pred = acts[n_layers]
+    dpred = (pred - truth) * (2.0 / pred.size)
 
     out = n_layers - 1
     for t in range(Tw - 1, -1, -1):
@@ -165,8 +104,8 @@ def _backward_window(net: Network, cache: _WindowCache, truth: np.ndarray,
         da = du @ eff[out]
         for i in range(n_layers - 2, -1, -1):
             p = net.config.lif_params[i]
-            u = cache.membranes[i][t]
-            s = cache.spikes[i][t]
+            u = membranes[i][t]
+            s = acts[i + 1][t]
             if mode == SPIKING:
                 g = surrogate_spike_grad(u, p, width)
             else:
@@ -183,7 +122,7 @@ def _backward_window(net: Network, cache: _WindowCache, truth: np.ndarray,
     grads = []
     for i in range(n_layers):
         d = deltas[i].reshape(Tw * B, -1)
-        a = cache.activations[i].reshape(Tw * B, -1)
+        a = acts[i].reshape(Tw * B, -1)
         g = d.T @ a
         g *= net.layers[i].mask
         grads.append(g)
@@ -207,10 +146,10 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
         state = [np.zeros(net.config.layer_dims[i + 1])
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
-    cache, final_state = _forward_window(net, x[:, None, :], batched_state,
-                                         mode, width)
-    loss = mse_loss(cache.pred[:, 0, :], y)
-    grads = _backward_window(net, cache, y[:, None, :], mode, width)
+    acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
+                                                  mode, width)
+    loss = mse_loss(acts[-1][:, 0, :], y)
+    grads = _backward_window(net, acts, membranes, y[:, None, :], mode, width)
     return loss, grads, [s[0] for s in final_state]
 
 
@@ -294,12 +233,12 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
                  for i in range(net.config.n_layers)]
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            cache, state = _forward_window(net, x[lo:hi], state,
-                                           cfg.spike_mode, cfg.surrogate_width)
-            grads = _backward_window(net, cache, y[lo:hi],
+            acts, membranes, state = forward_window(net, x[lo:hi], state,
+                                                    cfg.spike_mode, cfg.surrogate_width)
+            grads = _backward_window(net, acts, membranes, y[lo:hi],
                                      cfg.spike_mode, cfg.surrogate_width)
-            total_sq += float(np.sum((cache.pred - y[lo:hi]) ** 2))
-            total_n += cache.pred.size
+            total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
+            total_n += acts[-1].size
             optimizer.step(net, grads)
             net.apply_masks()
     return total_sq / total_n
@@ -316,9 +255,9 @@ def validate(net: Network, segments) -> float:
         x, y = _batch_group(group)
         state = [np.zeros((len(group), net.config.layer_dims[i + 1]))
                  for i in range(net.config.n_layers)]
-        cache, _ = _forward_window(net, x, state, SPIKING, 1.0)
-        total_sq += float(np.sum((cache.pred - y) ** 2))
-        total_n += cache.pred.size
+        pred = forward_window(net, x, state)[0][-1]
+        total_sq += float(np.sum((pred - y) ** 2))
+        total_n += pred.size
     return total_sq / total_n
 
 

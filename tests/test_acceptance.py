@@ -37,7 +37,8 @@ from spikeprune.network import (
     LifParams,
     Network,
     NetworkConfig,
-    lif_membrane_update,
+    WeightLayer,
+    forward_window,
     network_forward,
 )
 from spikeprune.pruning import (
@@ -79,9 +80,13 @@ def test_criterion_2_lif_closed_form():
             tau = rng.uniform(0.5, 40.0)
             dt = rng.uniform(0.05, 8.0)
             p = LifParams(tau=tau, dt=dt, threshold=1e12)
-            u = u0.copy()
-            for _ in range(100):
-                u = lif_membrane_update(u, np.zeros(4), p)
+            # one never-firing hidden layer of 4 neurons, started at u0
+            net = Network(NetworkConfig(layer_dims=(1, 4, 2), lif_params=(p, p)),
+                          [WeightLayer(np.ones((4, 1)), np.ones((4, 1))),
+                           WeightLayer(np.ones((2, 4)), np.ones((2, 4)), False)])
+            _, _, final = forward_window(net, np.zeros((100, 1, 1)),
+                                         [u0.reshape(1, 4), np.zeros((1, 2))])
+            u = final[0][0]
             expect = u0 * math.exp(-100 * dt / tau)
             assert np.allclose(u, expect, rtol=1e-12, atol=0)
 

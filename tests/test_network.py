@@ -6,16 +6,14 @@ import pytest
 from helpers import scalar_reference_forward
 
 from spikeprune.network import (
+    _EVAL_WINDOW,
     ActivationRecord,
     LifParams,
     Network,
     NetworkConfig,
     WeightLayer,
-    layer_forward,
-    lif_membrane_update,
+    forward_window,
     network_forward,
-    reset_state,
-    spike_and_reset,
 )
 
 
@@ -23,6 +21,28 @@ def tiny_net(dims=(2, 3, 3, 3, 2), seed=0, tau=5.0, dt=1.0):
     cfg = NetworkConfig.snn3(dims[0], hidden=dims[1:-1],
                              lif=LifParams(tau=tau, dt=dt), seed=seed)
     return Network.from_config(cfg)
+
+
+def one_layer_net(weights, mask=None, params=LifParams()):
+    """A single hidden layer with the given weights, plus a zero readout."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n_out, n_in = weights.shape
+    cfg = NetworkConfig(layer_dims=(n_in, n_out, 2), lif_params=(params, params))
+    mask = np.ones(weights.shape) if mask is None else mask
+    return Network(cfg, [WeightLayer(weights, mask),
+                         WeightLayer(np.zeros((2, n_out)), np.ones((2, n_out)), False)])
+
+
+def run_steps(net, inputs, u0=None):
+    """forward_window on one sequence: (spikes, pre-reset membranes, final
+    membranes) of the first layer, starting it at u0 (default zero)."""
+    x = np.asarray(inputs, dtype=np.float64)[:, None, :]
+    dims = net.config.layer_dims
+    state = [np.zeros((1, d)) for d in dims[1:]]
+    if u0 is not None:
+        state[0] = np.asarray(u0, dtype=np.float64).reshape(1, -1)
+    acts, membranes, final = forward_window(net, x, state)
+    return acts[1][:, 0], membranes[0][:, 0], final[0][0]
 
 
 class TestLifParams:
@@ -39,82 +59,95 @@ class TestLifParams:
 
 class TestMembraneUpdate:
     def test_zero_state_zero_input(self):
-        p = LifParams(tau=1.0, dt=1.0)
-        out = lif_membrane_update(np.array([0.0]), np.array([0.0]), p)
-        assert out[0] == 0.0
+        net = one_layer_net([[1.0]], params=LifParams(tau=1.0, dt=1.0))
+        _, u, _ = run_steps(net, [[0.0]])
+        assert u[0, 0] == 0.0
 
     def test_decay_plus_current(self):
         # e^-1 + 0.5, frozen from an independent high-precision evaluation
-        p = LifParams(tau=1.0, dt=1.0)
-        out = lif_membrane_update(np.array([1.0]), np.array([0.5]), p)
-        assert abs(out[0] - 0.8678794411714423) < 1e-15
+        net = one_layer_net([[0.5]], params=LifParams(tau=1.0, dt=1.0))
+        _, u, _ = run_steps(net, [[1.0]], u0=[1.0])
+        assert abs(u[0, 0] - 0.8678794411714423) < 1e-15
 
     def test_subthreshold_then_threshold(self):
         p = LifParams(tau=1.0, dt=1.0, threshold=1.0)
-        u = lif_membrane_update(np.array([0.4]), np.array([0.7]), p)
-        spikes, _ = spike_and_reset(u, p)
-        assert u[0] == pytest.approx(0.4 * math.exp(-1.0) + 0.7)
-        assert spikes[0] == 0.0  # 0.847... < 1
+        s, u, _ = run_steps(one_layer_net([[0.7]], params=p), [[1.0]], u0=[0.4])
+        assert u[0, 0] == pytest.approx(0.4 * math.exp(-1.0) + 0.7)
+        assert s[0, 0] == 0.0  # 0.847... < 1
         # with no leak the same inputs cross the threshold
         p_inf = LifParams(tau=math.inf, dt=1.0, threshold=1.0)
-        u2 = lif_membrane_update(np.array([0.4]), np.array([0.7]), p_inf)
-        spikes2, _ = spike_and_reset(u2, p_inf)
-        assert u2[0] == pytest.approx(1.1) and spikes2[0] == 1.0
+        s2, u2, _ = run_steps(one_layer_net([[0.7]], params=p_inf), [[1.0]], u0=[0.4])
+        assert u2[0, 0] == pytest.approx(1.1) and s2[0, 0] == 1.0
 
     def test_dimension_mismatch(self):
-        p = LifParams()
+        net = one_layer_net(np.ones((2, 1)))
         with pytest.raises(ValueError):
-            lif_membrane_update(np.zeros(2), np.zeros(3), p)
+            run_steps(net, [[0.0]], u0=np.zeros(3))
 
 
 class TestSpikeAndReset:
     def test_boundary_fires(self):
+        # the current equals the threshold exactly: >= fires
         p = LifParams(threshold=1.0, reset_value=0.0)
-        s, u = spike_and_reset(np.array([1.0]), p)
-        assert s[0] == 1.0 and u[0] == 0.0
+        s, u, final = run_steps(one_layer_net([[1.0]], params=p), [[1.0]])
+        assert u[0, 0] == 1.0
+        assert s[0, 0] == 1.0 and final[0] == 0.0
 
     def test_below_threshold(self):
         p = LifParams(threshold=1.0)
-        s, u = spike_and_reset(np.array([0.999]), p)
-        assert s[0] == 0.0 and u[0] == 0.999
+        s, _, final = run_steps(one_layer_net([[0.999]], params=p), [[1.0]])
+        assert s[0, 0] == 0.0 and final[0] == 0.999
 
     def test_mixed(self):
         p = LifParams(threshold=1.0, reset_value=0.0)
-        s, u = spike_and_reset(np.array([2.5, 0.3]), p)
-        assert s.tolist() == [1.0, 0.0]
-        assert u.tolist() == [0.0, 0.3]
+        s, _, final = run_steps(one_layer_net([[2.5], [0.3]], params=p), [[1.0]])
+        assert s[0].tolist() == [1.0, 0.0]
+        assert final.tolist() == [0.0, 0.3]
+
+    def test_nonzero_reset_value_matches_scalar_reference(self):
+        p = LifParams(tau=3.0, threshold=0.8, reset_value=0.25)
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            cfg = NetworkConfig.snn3(3, hidden=(4, 3, 4), lif=p, seed=seed)
+            net = Network.from_config(cfg, init_scale=3.0)
+            x = (rng.random((30, 3)) < 0.6).astype(float)
+            pred, rec = network_forward(net, x)
+            assert any(h.any() for h in rec.hidden_spikes)
+            assert np.allclose(pred, scalar_reference_forward(net, x),
+                               rtol=1e-12, atol=1e-14)
 
 
 class TestLayerForward:
     def test_zero_input_zero_state(self):
-        layer = WeightLayer(np.ones((3, 2)), np.ones((3, 2)))
-        out, state = layer_forward(np.zeros(2), layer, np.zeros(3), LifParams(), True)
-        assert not out.any() and not state.any()
+        s, u, final = run_steps(one_layer_net(np.ones((3, 2))), [[0.0, 0.0]])
+        assert not s.any() and not u.any() and not final.any()
 
     def test_masked_connection_contributes_nothing(self):
-        w = np.array([[5.0, 0.3]])
-        layer = WeightLayer(w, np.array([[0, 1]]))
-        out, state = layer_forward(np.array([1.0, 0.0]), layer, np.zeros(1),
-                                   LifParams(), True)
-        assert state[0] == 0.0  # the 5.0 weight is invisible under mask 0
+        net = one_layer_net([[5.0, 0.3]], mask=np.array([[0, 1]]))
+        _, _, final = run_steps(net, [[1.0, 0.0]])
+        assert final[0] == 0.0  # the 5.0 weight is invisible under mask 0
 
     def test_two_input_single_neuron_fires(self):
         # 0.6 + 0.9 = 1.5 >= threshold with no leak -> spike and reset
-        layer = WeightLayer(np.array([[0.6, 0.9]]), np.ones((1, 2)))
         p = LifParams(tau=math.inf, dt=1.0, threshold=1.0, reset_value=0.0)
-        out, state = layer_forward(np.array([1.0, 1.0]), layer, np.zeros(1), p, True)
-        assert out[0] == 1.0 and state[0] == 0.0
+        s, _, final = run_steps(one_layer_net([[0.6, 0.9]], params=p), [[1.0, 1.0]])
+        assert s[0, 0] == 1.0 and final[0] == 0.0
 
     def test_non_spiking_returns_membrane(self):
-        layer = WeightLayer(np.array([[0.6, 0.9]]), np.ones((1, 2)))
+        # the hidden neuron fires at once; the readout keeps its raw membrane
         p = LifParams(tau=math.inf, dt=1.0)
-        out, state = layer_forward(np.array([1.0, 1.0]), layer, np.zeros(1), p, False)
-        assert out[0] == pytest.approx(1.5) and state[0] == out[0]
+        net = one_layer_net([[5.0, 5.0]], params=p)
+        net.layers[1].weights[:] = [[0.6], [0.9]]
+        x = np.ones((1, 1, 2))
+        acts, membranes, final = forward_window(net, x, [np.zeros((1, 1)), np.zeros((1, 2))])
+        assert acts[-1][0, 0] == pytest.approx([0.6, 0.9])
+        assert np.array_equal(acts[-1], membranes[-1])
+        assert np.array_equal(final[-1], acts[-1][-1])
 
     def test_dimension_mismatch(self):
-        layer = WeightLayer(np.ones((1, 2)), np.ones((1, 2)))
+        net = one_layer_net(np.ones((1, 2)))
         with pytest.raises(ValueError):
-            layer_forward(np.zeros(3), layer, np.zeros(1), LifParams(), True)
+            run_steps(net, [[0.0, 0.0, 0.0]])
 
 
 class TestNetworkForward:
@@ -150,10 +183,9 @@ class TestNetworkForward:
             tau = rng.uniform(0.5, 50.0)
             dt = rng.uniform(0.1, 10.0)
             p = LifParams(tau=tau, dt=dt, threshold=1e9)  # never fire
-            u = u0.copy()
             k = 100
-            for _ in range(k):
-                u = lif_membrane_update(u, np.zeros(2), p)
+            _, _, u = run_steps(one_layer_net(np.ones((2, 1)), params=p),
+                                np.zeros((k, 1)), u0=u0)
             expect = u0 * math.exp(-k * dt / tau)
             assert np.allclose(u, expect, rtol=1e-12, atol=0)
 
@@ -200,17 +232,34 @@ class TestNetworkForward:
 
 class TestResetState:
     def test_zeros_idempotent_weight_independent(self):
+        # every call starts from zero membranes: a driven run leaves no state
+        # behind, and zero input stays at zero whatever the weights
         net = tiny_net(seed=13)
-        s1 = reset_state(net)
-        assert all(not m.any() for m in s1.membranes)
-        assert [m.shape for m in s1.membranes] == [(3,), (3,), (3,), (2,)]
-        s2 = reset_state(net)
-        for a, b in zip(s1.membranes, s2.membranes):
-            assert np.array_equal(a, b)
         for layer in net.layers:
             layer.weights += 100
-        s3 = reset_state(net)
-        assert all(not m.any() for m in s3.membranes)
+        silent = np.zeros((5, 2))
+        first, _ = network_forward(net, silent)
+        network_forward(net, np.ones((5, 2)))
+        again, rec = network_forward(net, silent)
+        assert not first.any() and np.array_equal(first, again)
+        assert all(not s.any() for s in rec.hidden_spikes)
+
+
+class TestWindowing:
+    def test_equals_one_whole_sequence_kernel_call(self):
+        rng = np.random.default_rng(21)
+        net = tiny_net(dims=(3, 6, 5, 4, 2), seed=21)
+        for layer in net.layers:
+            layer.weights *= 3.0
+        for T in (_EVAL_WINDOW - 1, _EVAL_WINDOW, _EVAL_WINDOW + 1, 2 * _EVAL_WINDOW + 3):
+            x = (rng.random((T, 3)) < 0.4).astype(np.uint8)
+            pred, rec = network_forward(net, x)
+            state = [np.zeros((1, d)) for d in net.config.layer_dims[1:]]
+            acts, _, _ = forward_window(net, x[:, None, :].astype(np.float64), state)
+            assert np.array_equal(pred, acts[-1][:, 0])
+            for h, a in zip(rec.hidden_spikes, acts[1:-1]):
+                assert np.array_equal(h, a[:, 0])
+            assert any(h.any() for h in rec.hidden_spikes)
 
 
 class TestConfig:

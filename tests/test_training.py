@@ -4,7 +4,7 @@ import pytest
 from helpers import assert_grads_close, finite_difference_grads
 
 from spikeprune.data import generate_synthetic, split_session
-from spikeprune.network import LifParams, Network, NetworkConfig
+from spikeprune.network import LifParams, Network, NetworkConfig, network_forward
 from spikeprune.training import (
     DIFFERENTIABLE,
     AdamOptimizer,
@@ -149,7 +149,6 @@ class TestValidate:
         cfg = NetworkConfig.snn3(4, hidden=(5, 5, 5), seed=9)
         net = Network.from_config(cfg)
         # replace labels with the network's own predictions
-        from spikeprune.network import network_forward
         from dataclasses import replace
         segs = [replace(s, velocity=network_forward(net, s.spikes)[0])
                 for s in split["val"]]
@@ -160,6 +159,18 @@ class TestValidate:
         split = split_session(session)
         net = Network.from_config(NetworkConfig.snn3(4, hidden=(5, 5, 5), seed=1))
         assert validate(net, split["val"]) == validate(net, split["val"])
+
+    def test_single_segment_equals_eval_forward_bitwise(self):
+        # validate and eval run the same kernel; segments longer than the eval
+        # window check that windowing changes no bit
+        for seed, hidden in [(0, (5, 5, 5)), (3, (16, 12, 8)), (5, (50, 50, 50))]:
+            session = generate_synthetic(seed=seed, channels=8, T=20_000, rate=0.3)
+            split = split_session(session)
+            net = Network.from_config(NetworkConfig.snn3(8, hidden=hidden, seed=seed),
+                                      init_scale=2.0)
+            for seg in split["val"] + split["test"]:
+                pred, _ = network_forward(net, seg.spikes)
+                assert validate(net, [seg]) == mse_loss(pred, seg.velocity)
 
     def test_hand_computed_two_timesteps(self):
         # zero weights -> zero prediction; MSE = (1+4+9+16)/4
