@@ -15,7 +15,10 @@ weight count, so cumulative bookkeeping stays coherent as layers thin out.
 After a rollback the cumulative fraction is recomputed from the restored
 masks, i.e. the attempted rate is subtracted back out; the trace records the
 drop. Prune steps are clamped so the cumulative fraction never exceeds the
-cap. The readout layer is never pruned.
+cap; a clamped per-layer step splits what is left of the cap among the
+layers in proportion to their requests, so the layers thin out alike rather
+than the first taking the whole remainder. The readout layer is never
+pruned.
 
 Two ablation modes: "tolerance-only" keeps the tolerance gate but terminates
 (restoring the last good network) the first time patience is exhausted;
@@ -194,11 +197,12 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
     """Mask out the lowest-magnitude weights at `rate`% of original counts.
 
     The prunable layers form selection groups: each layer on its own in
-    per-layer scope, all of them pooled in global scope. Each group loses
+    per-layer scope, all of them pooled in global scope. Each group requests
     round(rate% * group size) weights, clamped to what it still has. Masks
     are monotone. `max_total_zeros` caps the total mask-zero count across
-    prunable layers (cumulative-cap clamping), spent group by group in
-    layer order.
+    prunable layers (cumulative-cap clamping); when the requests exceed what
+    is left of it, the budget is split in proportion to them (see
+    _split_budget).
     """
     if scope not in (PER_LAYER, GLOBAL):
         raise ValueError(f"unknown scope {scope!r}")
@@ -216,6 +220,7 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
 
     indices = list(range(len(prunable)))
     groups = [[i] for i in indices] if scope == PER_LAYER else [indices]
+    counts = []
     for group in groups:
         layers = [prunable[i] for i in group]
         count = round(rate / 100.0 * sum(l.n_weights for l in layers))
@@ -223,11 +228,12 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
         if count > available:
             count = available
             info.clamped = True
-        if budget is not None:
-            if count > budget:
-                count = budget
-                info.clamped = True
-            budget -= count
+        counts.append(count)
+    if budget is not None and sum(counts) > budget:
+        counts = _split_budget(counts, budget)
+        info.clamped = True
+    for group, count in zip(groups, counts):
+        layers = [prunable[i] for i in group]
         layer_idx, rows, cols = select_prune_targets(layers, count)
         for j, layer in enumerate(layers):
             sel = layer_idx == j
@@ -235,6 +241,23 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
             layer.apply_mask()
             info.removed_per_layer[group[j]] = int(np.count_nonzero(sel))
     return info
+
+
+def _split_budget(requests: list[int], budget: int) -> list[int]:
+    """Share `budget` < sum(requests) among groups in proportion to requests.
+
+    Each group gets floor(request * budget / total); the units left over go
+    one each to the largest remainders, ties to the lower group index. So no
+    group gets more than it asked for, and a capped final step thins every
+    layer alike instead of giving the whole remainder to the first layer.
+    """
+    total = sum(requests)
+    shares = [r * budget // total for r in requests]
+    remainders = [r * budget % total for r in requests]
+    order = sorted(range(len(requests)), key=lambda i: (-remainders[i], i))
+    for i in order[:budget - sum(shares)]:
+        shares[i] += 1
+    return shares
 
 
 class EngineTrainer:

@@ -7,6 +7,7 @@ a brute-force quadruple loop, and prune selection from a plain-Python sort.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,10 +101,13 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
     """Prune-step oracle: a plain-Python sort of (|w|, layer, row, col) tuples.
 
     Each prunable layer is a group in per-layer scope; all of them form one
-    group in global scope. A group loses round(rate% * group size) of its
-    unmasked weights, clamped to what it has and then to what is left of the
-    cap budget, spent group by group in layer order. `net` is not touched;
-    returns (masks as nested lists, removed per prunable layer, clamped).
+    group in global scope. A group requests round(rate% * group size) of its
+    unmasked weights, clamped to what it has. If the requests exceed what is
+    left of the cap budget, each group gets its exact fractional share
+    request * budget / total rounded down, and the units left over go to the
+    largest fractional parts, ties to the lower group. `net` is not
+    touched; returns (masks as nested lists, removed per prunable layer,
+    clamped).
     """
     layers = [l for l in net.layers if l.prunable]
     masks = [[[int(m) for m in row] for row in l.mask] for l in layers]
@@ -119,6 +123,7 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
         groups = [[i] for i in range(len(layers))]
     else:
         groups = [list(range(len(layers)))]
+    lives, counts = [], []
     for group in groups:
         size = 0
         live = []
@@ -133,11 +138,16 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
         if count > len(live):
             count = len(live)
             clamped = True
-        if budget is not None:
-            if count > budget:
-                count = budget
-                clamped = True
-            budget -= count
+        lives.append(live)
+        counts.append(count)
+    if budget is not None and sum(counts) > budget:
+        clamped = True
+        shares = [Fraction(c * budget, sum(counts)) for c in counts]
+        counts = [math.floor(f) for f in shares]
+        by_part = sorted(range(len(shares)), key=lambda g: (counts[g] - shares[g], g))
+        for g in by_part[:budget - sum(counts)]:
+            counts[g] += 1
+    for live, count in zip(lives, counts):
         for _, i, r, c in sorted(live)[:count]:
             masks[i][r][c] = 0
             removed[i] += 1

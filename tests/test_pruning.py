@@ -197,6 +197,14 @@ class TestAdaptiveController:
         assert trace.events[-1].reason == "pruned-max"
         assert trace.total_epochs() == 10  # one epoch per accepted step
 
+    @pytest.mark.parametrize("channels", [96, 32])
+    def test_capped_final_step_thins_every_layer_alike(self, channels):
+        # the last step asks every layer for 10% while 5% of the total is left
+        # under the cap: each layer gets half its request, none is wiped out
+        dense = Network.from_config(NetworkConfig.snn3(channels, seed=9))
+        net, _ = adaptive_prune(dense, None, PruneHyperParams(), trainer=always_succeed())
+        assert [l.n_masked / l.n_weights for l in net.prunable_layers()] == [0.95] * 3
+
     def test_divergent_finetune_rolls_back(self):
         dense = indy_net(seed=10)
         trainer = FakeTrainer(lambda i: float("nan"))
