@@ -296,8 +296,9 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
         a = x[t]
         for i in range(n_layers):
             p = net.config.lif_params[i]
-            u = v[i] * decays[i] + a @ eff_t[i]
-            membranes[i][t] = u
+            u = membranes[i][t]  # filled in place: v * decay + a @ W
+            np.multiply(v[i], decays[i], out=u)
+            u += a @ eff_t[i]
             if net.config.spiking_flags[i]:
                 if mode == SPIKING:
                     s = (u >= p.threshold).astype(np.float64)
