@@ -92,7 +92,7 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
     decays = [p.decay for p in net.config.lif_params]
     deltas = [np.zeros_like(membranes[i]) for i in range(n_layers)]
     carry = [np.zeros((B, net.config.layer_dims[i + 1])) for i in range(n_layers)]
-    pred = acts[n_layers]
+    pred = acts[-1]
     dpred = (pred - truth) * (2.0 / pred.size)
 
     out = n_layers - 1
