@@ -125,10 +125,10 @@ def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
         return 0.0, "AC"
     total = 0
     for i, layer in enumerate(net.layers):
-        # ops at step t = sum_j [pre_j(t) != 0] * (nonzero weights in column j)
+        # ops = sum_j (steps where pre_j != 0) * (nonzero weights in column j)
         col_nnz = np.count_nonzero(layer.effective() != 0.0, axis=0)
-        pre = record.layer_inputs(i)
-        total += int(np.sum((pre != 0).astype(np.int64) @ col_nnz))
+        fired = np.count_nonzero(record.layer_inputs(i), axis=0)
+        total += int(fired.astype(np.int64) @ col_nnz)
     return total / T, "AC"
 
 

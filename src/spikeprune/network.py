@@ -9,15 +9,18 @@ fires and resets wherever the membrane reaches the threshold.
 
 One kernel, `forward_window`, runs these dynamics: a window of timesteps
 for B equal-length sequences in lockstep, from a given membrane state.
-Training, validation and eval all call it. `network_forward` runs one
-sequence through it at B=1 in fixed windows, carrying the state across, so
-eval memory stays bounded on long sessions without changing a bit.
+Training, validation and eval all call it. It is layer-major: the network is
+feed-forward, so each layer's input current for the whole window is one GEMM
+over the finished output of the layer below, against the C-contiguous copy
+of W^T; only the membrane scan runs in time order, elementwise.
+`network_forward` runs one sequence through it at B=1 in fixed windows,
+carrying the state across, so eval memory stays bounded on long sessions.
 
-Eval stays per sequence because BLAS rounds a GEMM row differently
-depending on how many rows the call has: the same sequence batched with
-others (or all timesteps of a layer in one GEMM) can differ in the last
-bit. Splitting time into windows at a fixed B changes nothing, so eval at
-B=1 equals `validate` on a single segment bit for bit.
+Eval stays per sequence because BLAS picks its GEMM kernel by the shape of
+the call, and different kernels round a row differently in the last bit: the
+same sequence batched with others (more rows per GEMM) can give other bits.
+At B=1 in fixed windows every call of `network_forward` on a sequence makes
+the same GEMMs, so eval is reproducible bit for bit per segment.
 """
 
 from __future__ import annotations
@@ -279,6 +282,11 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     membrane, so acts[-1] is the prediction); membranes[l] is layer l's
     pre-reset membrane. Both are [Tw x B x H] per layer. DIFFERENTIABLE mode
     (test-only) replaces the spike step with sigmoid((u - threshold)/width).
+
+    Layer-major: each layer's input current for the whole window is one GEMM
+    over the layer below's finished output, written straight into the
+    membrane record; then an elementwise scan runs u = I + v * decay in time
+    order and fires and resets in place.
     """
     dims = net.config.layer_dims
     if x.ndim != 3 or x.shape[2] != dims[0]:
@@ -286,31 +294,41 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     Tw, B = x.shape[0], x.shape[1]
     if [np.shape(v) for v in state] != [(B, d) for d in dims[1:]]:
         raise ValueError(f"state needs one [{B} x H] membrane array per layer")
-    n_layers = net.config.n_layers
-    eff_t = [l.effective().T.copy() for l in net.layers]
-    decays = [p.decay for p in net.config.lif_params]
-    acts = [x] + [np.zeros((Tw, B, dims[i + 1])) for i in range(n_layers)]
-    membranes = [np.zeros((Tw, B, dims[i + 1])) for i in range(n_layers)]
-    v = [m.copy() for m in state]
-    for t in range(Tw):
-        a = x[t]
-        for i in range(n_layers):
-            p = net.config.lif_params[i]
-            u = membranes[i][t]  # filled in place: v * decay + a @ W
-            np.multiply(v[i], decays[i], out=u)
-            u += a @ eff_t[i]
-            if net.config.spiking_flags[i]:
-                if mode == SPIKING:
-                    s = (u >= p.threshold).astype(np.float64)
-                else:
-                    s = _sigmoid((u - p.threshold) / width)
-                v[i] = u * (1.0 - s) + p.reset_value * s
-                a = s
-            else:
-                v[i] = u
-                a = u
-            acts[i + 1][t] = a
-    return acts, membranes, v
+    acts = [x]
+    membranes = []
+    final_state = []
+    for i, layer in enumerate(net.layers):
+        p = net.config.lif_params[i]
+        decay = p.decay
+        a = acts[-1]
+        # C-contiguous W^T: BLAS takes another kernel for the transposed view,
+        # which rounds the current differently in the last bit
+        w_t = layer.effective().T.copy()
+        u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
+        v = state[i]
+        if not net.config.spiking_flags[i]:
+            for ut in u:
+                ut += v * decay
+                v = ut
+            out = u
+        elif mode == SPIKING:
+            fired = np.empty(u.shape, dtype=bool)
+            for ut, ft in zip(u, fired):
+                ut += v * decay
+                np.greater_equal(ut, p.threshold, out=ft)
+                v = np.where(ft, p.reset_value, ut)
+            out = fired.astype(np.float64)
+        else:
+            out = np.empty_like(u)
+            for ut, st in zip(u, out):
+                ut += v * decay
+                s = _sigmoid((ut - p.threshold) / width)
+                st[...] = s
+                v = ut * (1.0 - s) + p.reset_value * s
+        acts.append(out)
+        membranes.append(u)
+        final_state.append(v)
+    return acts, membranes, final_state
 
 
 def network_forward(net: Network, spikes: np.ndarray):
@@ -318,8 +336,8 @@ def network_forward(net: Network, spikes: np.ndarray):
 
     spikes is time-major [T x input_dim] binary. Returns the [T x 2] velocity
     prediction and an ActivationRecord of every spike and output membrane.
-    This is forward_window at B=1 over consecutive windows with the state
-    carried across, so it equals one whole-sequence kernel call bit for bit.
+    This is forward_window at B=1 over consecutive windows of _EVAL_WINDOW
+    timesteps with the state carried across.
     """
     spikes = np.asarray(spikes)
     if spikes.ndim != 2 or spikes.shape[1] != net.input_dim:

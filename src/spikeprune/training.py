@@ -85,47 +85,55 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
     """Gradients of the window MSE w.r.t. every weight matrix.
 
     acts and membranes are what forward_window returned for the window.
+    Layer-major, from the readout down: each layer runs a reverse elementwise
+    scan over the window, c = x[t] + (decay * c) * keep[t] with x the error
+    arriving from above times the surrogate and keep = 1 - s, and one GEMM
+    carries its membrane gradients to the layer below.
     """
     Tw, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
-    eff = [l.effective().copy() for l in net.layers]
-    decays = [p.decay for p in net.config.lif_params]
-    deltas = [np.zeros_like(membranes[i]) for i in range(n_layers)]
-    carry = [np.zeros((B, net.config.layer_dims[i + 1])) for i in range(n_layers)]
     pred = acts[-1]
-    dpred = (pred - truth) * (2.0 / pred.size)
-
-    out = n_layers - 1
-    for t in range(Tw - 1, -1, -1):
-        # readout layer: membrane feeds the loss directly and the next step
-        du = dpred[t] + decays[out] * carry[out]
-        deltas[out][t] = du
-        carry[out] = du
-        da = du @ eff[out]
-        for i in range(n_layers - 2, -1, -1):
-            p = net.config.lif_params[i]
-            u = membranes[i][t]
-            s = acts[i + 1][t]
+    src = (pred - truth) * (2.0 / pred.size)
+    grads = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        p = net.config.lif_params[i]
+        decay = p.decay
+        u = membranes[i]
+        if not net.config.spiking_flags[i]:
+            # readout: the membrane feeds the loss directly and the next step
+            du = src
+            c = np.zeros_like(u[0])
+            for du_t in du[::-1]:
+                du_t += decay * c
+                c = du_t
+        else:
+            s = acts[i + 1]
             if mode == SPIKING:
                 g = surrogate_spike_grad(u, p, width)
             else:
                 g = s * (1.0 - s) / width
-            dv = decays[i] * carry[i]
-            du = da * g + dv * (1.0 - s)
-            if mode == DIFFERENTIABLE:
+            du = src * g
+            keep = 1.0 - s
+            c = np.zeros_like(u[0])
+            if mode == SPIKING:
+                for du_t, kt in zip(du[::-1], keep[::-1]):
+                    dc = decay * c
+                    dc *= kt
+                    du_t += dc
+                    c = du_t
+            else:
                 # reset path differentiated too: v = u(1-s) + r*s
-                du = du + dv * (p.reset_value - u) * g
-            deltas[i][t] = du
-            carry[i] = du
-            if i > 0:
-                da = du @ eff[i]
-    grads = []
-    for i in range(n_layers):
-        d = deltas[i].reshape(Tw * B, -1)
-        a = acts[i].reshape(Tw * B, -1)
-        g = d.T @ a
-        g *= net.layers[i].mask
-        grads.append(g)
+                reset_gap = p.reset_value - u
+                for du_t, kt, rt, gt in zip(du[::-1], keep[::-1], reset_gap[::-1], g[::-1]):
+                    dc = decay * c
+                    du_t += dc * kt
+                    du_t += dc * rt * gt
+                    c = du_t
+        if i > 0:
+            src = (du.reshape(Tw * B, -1) @ net.layers[i].effective()).reshape(Tw, B, -1)
+        grad = du.reshape(Tw * B, -1).T @ acts[i].reshape(Tw * B, -1)
+        grad *= net.layers[i].mask
+        grads[i] = grad
     return grads
 
 

@@ -1,9 +1,11 @@
 """Shared test oracles and simulated trainers.
 
 Everything here is deliberately independent of the library's fast paths:
-the forward reference is a plain-Python scalar loop, gradient checks use
-central finite differences over the public loss, operation counts come from
-a brute-force quadruple loop, and prune selection from a plain-Python sort.
+the forward reference is a plain-Python scalar loop, spiking-mode gradients
+come from a plain-Python surrogate BPTT over that loop, differentiable-mode
+gradient checks use central finite differences over the public loss,
+operation counts come from a brute-force quadruple loop, and prune selection
+from a plain-Python sort.
 """
 
 import math
@@ -26,14 +28,25 @@ def small_net(seed=0):
     return Network.from_config(NetworkConfig.snn3(12, hidden=(10, 10, 10), seed=seed))
 
 
-def scalar_reference_forward(net, spikes):
-    """Independent plain-Python re-derivation of the network dynamics."""
+def scalar_reference_trace(net, spikes, state=None):
+    """Independent plain-Python re-derivation of the network dynamics.
+
+    Runs from the given membranes (one list per connection layer, default
+    zero). Returns (acts, membranes): acts[0][t] is the input at step t and
+    acts[i + 1][t] the output of connection layer i (spikes, or the readout
+    membrane); membranes[i][t] is layer i's pre-reset membrane.
+    """
     dims = net.config.layer_dims
     n_layers = net.config.n_layers
-    v = [[0.0] * dims[i + 1] for i in range(n_layers)]
-    preds = []
+    if state is None:
+        v = [[0.0] * dims[i + 1] for i in range(n_layers)]
+    else:
+        v = [[float(u) for u in np.ravel(s)] for s in state]
+    acts = [[] for _ in range(n_layers + 1)]
+    membranes = [[] for _ in range(n_layers)]
     for t in range(len(spikes)):
         a = [float(x) for x in spikes[t]]
+        acts[0].append(a)
         for i in range(n_layers):
             p = net.config.lif_params[i]
             w = net.layers[i].weights
@@ -45,6 +58,7 @@ def scalar_reference_forward(net, spikes):
                 for pre in range(dims[i]):
                     cur += w[post, pre] * m[post, pre] * a[pre]
                 nxt.append(v[i][post] * decay + cur)
+            membranes[i].append(nxt)
             if net.config.spiking_flags[i]:
                 out = [1.0 if u >= p.threshold else 0.0 for u in nxt]
                 v[i] = [p.reset_value if s else u for u, s in zip(nxt, out)]
@@ -52,8 +66,62 @@ def scalar_reference_forward(net, spikes):
             else:
                 v[i] = nxt
                 a = nxt
-        preds.append(list(a))
-    return np.array(preds).reshape(len(spikes), 2)
+            acts[i + 1].append(list(a))
+    return acts, membranes
+
+
+def scalar_reference_forward(net, spikes):
+    """The [T x 2] prediction of `scalar_reference_trace` from zero membranes."""
+    acts, _ = scalar_reference_trace(net, spikes)
+    return np.array(acts[-1]).reshape(len(spikes), 2)
+
+
+def scalar_surrogate_grads(net, spikes, velocity, width=1.0, state=None):
+    """Plain-Python surrogate BPTT oracle for the SPIKING-mode gradients.
+
+    The loss is the MSE over every output at every step. A hidden neuron's
+    membrane gradient is dL/ds * g(u) + decay * dL/du(t + 1) * (1 - s), with
+    g the triangular surrogate max(0, 1 - |u - threshold|/width)/width and
+    the reset detached; the readout's is dL/dpred + decay * dL/du(t + 1).
+    Returns (loss, grads) with masked entries zero.
+    """
+    acts, membranes = scalar_reference_trace(net, spikes, state)
+    dims = net.config.layer_dims
+    T = len(spikes)
+    n = 2 * T
+    loss = 0.0
+    err = []  # dL/d(output of the layer being differentiated), per step
+    for t in range(T):
+        diffs = [acts[-1][t][k] - float(velocity[t][k]) for k in range(2)]
+        loss += sum(d * d for d in diffs)
+        err.append([2.0 * d / n for d in diffs])
+    grads = [None] * net.config.n_layers
+    for i in range(net.config.n_layers - 1, -1, -1):
+        p = net.config.lif_params[i]
+        decay = math.exp(-p.dt / p.tau)
+        w = net.layers[i].weights
+        m = net.layers[i].mask
+        du = [[0.0] * dims[i + 1] for _ in range(T)]
+        carry = [0.0] * dims[i + 1]
+        for t in range(T - 1, -1, -1):
+            for j in range(dims[i + 1]):
+                if net.config.spiking_flags[i]:
+                    u = membranes[i][t][j]
+                    s = acts[i + 1][t][j]
+                    g = max(0.0, 1.0 - abs(u - p.threshold) / width) / width
+                    du[t][j] = err[t][j] * g + decay * carry[j] * (1.0 - s)
+                else:
+                    du[t][j] = err[t][j] + decay * carry[j]
+                carry[j] = du[t][j]
+        grad = np.zeros(w.shape)
+        for j in range(dims[i + 1]):
+            for k in range(dims[i]):
+                if m[j, k]:
+                    grad[j, k] = sum(du[t][j] * acts[i][t][k] for t in range(T))
+        grads[i] = grad
+        err = [[sum(w[j, k] * m[j, k] * du[t][j] for j in range(dims[i + 1]))
+                for k in range(dims[i])] for t in range(T)]
+    return loss / n, grads
 
 
 def finite_difference_grads(net, x, y, width=1.0, h=1e-6):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import scalar_reference_forward
+from helpers import scalar_reference_forward, scalar_reference_trace
 
 from spikeprune.network import (
     _EVAL_WINDOW,
@@ -260,6 +260,27 @@ class TestWindowing:
             for h, a in zip(rec.hidden_spikes, acts[1:-1]):
                 assert np.array_equal(h, a[:, 0])
             assert any(h.any() for h in rec.hidden_spikes)
+
+    def test_batched_windows_carry_state_like_scalar_reference(self):
+        # B = 3 sequences through 3 consecutive windows of unequal length
+        rng = np.random.default_rng(33)
+        net = tiny_net(dims=(4, 6, 5, 4, 2), seed=33, tau=4.0)
+        for layer in net.layers:
+            layer.weights *= 3.0
+        x = (rng.random((7 + 12 + 4, 3, 4)) < 0.4).astype(np.float64)
+        state = [np.zeros((3, d)) for d in net.config.layer_dims[1:]]
+        acts = []
+        for lo, hi in ((0, 7), (7, 19), (19, 23)):
+            window, _, state = forward_window(net, x[lo:hi], state)
+            acts.append(window)
+        acts = [np.concatenate(layer) for layer in zip(*acts)]
+        for b in range(3):
+            ref, _ = scalar_reference_trace(net, x[:, b])
+            for h, ref_h in zip(acts[1:-1], ref[1:-1]):
+                assert np.array_equal(h[:, b], np.array(ref_h))
+                assert h[:, b].any()
+            np.testing.assert_allclose(acts[-1][:, b], np.array(ref[-1]),
+                                       rtol=1e-12, atol=0)
 
 
 class TestConfig:

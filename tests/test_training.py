@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, finite_difference_grads
+from helpers import (
+    assert_grads_close,
+    finite_difference_grads,
+    scalar_reference_trace,
+    scalar_surrogate_grads,
+)
 
 from spikeprune.data import generate_synthetic, split_session
 from spikeprune.network import LifParams, Network, NetworkConfig, network_forward
@@ -56,6 +61,35 @@ class TestGradientCheck:
             _, analytic, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
             numeric = finite_difference_grads(net, x, y)
             assert_grads_close(analytic, numeric)
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["zero-state", "carried-state"])
+    def test_spiking_matches_scalar_surrogate_bptt(self, carried):
+        fired = [0, 0, 0]
+        flowed = [0, 0, 0, 0]
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cfg = NetworkConfig.snn3(6, hidden=(5, 4, 5), seed=seed,
+                                     lif=LifParams(tau=float(rng.uniform(2.0, 8.0))))
+            net = Network.from_config(cfg, init_scale=2.5)
+            for layer in net.layers:
+                layer.mask = (rng.random(layer.mask.shape) > 0.2).astype(np.uint8)
+                layer.apply_mask()
+            x = (rng.random((30, 6)) < 0.5).astype(float)
+            y = rng.normal(size=(30, 2))
+            state = None
+            if carried:
+                # the state a first window leaves behind starts the second
+                state = compute_gradients(net, x[:15], y[:15])[2]
+                x, y = x[15:], y[15:]
+            loss, grads, _ = compute_gradients(net, x, y, state=state)
+            ref_loss, ref_grads = scalar_surrogate_grads(net, x, y, state=state)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            for g, ref in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
+            acts, _ = scalar_reference_trace(net, x, state)
+            fired = [f + int(np.sum(a)) for f, a in zip(fired, acts[1:-1])]
+            flowed = [f + int(np.count_nonzero(g)) for f, g in zip(flowed, grads)]
+        assert all(fired) and all(flowed)
 
     def test_masked_weights_have_zero_gradient(self):
         rng = np.random.default_rng(1)
