@@ -32,6 +32,15 @@ class CheckpointVersionError(CheckpointError):
     pass
 
 
+_HEADER_KEYS = {"format_version", "layer_dims", "spiking_flags", "lif_params",
+                "seed", "prunable", "meta"}
+_LIF_KEYS = {"tau", "threshold", "reset_value", "dt"}
+
+
+def _header_blob(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
     header = {
         "format_version": FORMAT_VERSION,
@@ -46,7 +55,7 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
         "prunable": [l.prunable for l in net.layers],
         "meta": meta or {},
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = _header_blob(header)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
@@ -56,39 +65,94 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
             f.write(layer.mask.astype(np.uint8).tobytes(order="C"))
 
 
-def load_checkpoint(path):
-    """Returns (Network, meta dict). Raises on bad magic or version mismatch."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"not a checkpoint file: bad magic in {path}")
-    off = len(MAGIC)
-    (header_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    header = json.loads(blob[off:off + header_len].decode("utf-8"))
-    off += header_len
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _all(values, kind) -> bool:
+    # bool is an int subclass: a flag must not pass as a number or vice versa
+    return isinstance(values, list) and all(
+        isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values)
+
+
+def _parse_header(raw: bytes, path) -> tuple[dict, NetworkConfig]:
+    try:
+        header = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except (UnicodeDecodeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint header is not UTF-8 JSON in {path}: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header is not a JSON object in {path}")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"checkpoint format version {version!r}, expected {FORMAT_VERSION!r}"
         )
-    config = NetworkConfig(
-        layer_dims=tuple(header["layer_dims"]),
-        spiking_flags=tuple(header["spiking_flags"]),
-        lif_params=tuple(LifParams(**p) for p in header["lif_params"]),
-        seed=header["seed"],
-    )
+    if set(header) != _HEADER_KEYS:
+        raise CheckpointError(
+            f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)} in {path}")
+    if _header_blob(header) != raw:
+        raise CheckpointError(f"checkpoint header is not in canonical form in {path}")
+    lif = header["lif_params"]
+    if not (_all(header["layer_dims"], int) and _all(header["spiking_flags"], bool)
+            and _all(header["prunable"], bool) and _all([header["seed"]], int)
+            and isinstance(header["meta"], dict) and isinstance(lif, list)
+            and all(isinstance(p, dict) and set(p) == _LIF_KEYS
+                    and _all(list(p.values()), (int, float)) for p in lif)):
+        raise CheckpointError(f"checkpoint header has a field of the wrong type in {path}")
+    try:
+        config = NetworkConfig(
+            layer_dims=tuple(header["layer_dims"]),
+            spiking_flags=tuple(header["spiking_flags"]),
+            lif_params=tuple(LifParams(**p) for p in lif),
+            seed=header["seed"],
+        )
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint header describes no valid network in {path}: {e}") from e
+    if len(header["prunable"]) != config.n_layers:
+        raise CheckpointError(f"checkpoint needs one prunable flag per layer in {path}")
+    return header, config
+
+
+def load_checkpoint(path):
+    """Returns (Network, meta dict).
+
+    Raises CheckpointError (CheckpointVersionError on a version mismatch)
+    unless the file is exactly what save_checkpoint writes for some network:
+    magic, header length, canonical UTF-8 JSON header with exactly the
+    expected keys and types, and a payload of the exact length with finite
+    weights, masks of 0 and 1, and zero weights wherever the mask is 0.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"not a checkpoint file: bad magic in {path}")
+    off = len(MAGIC) + 4
+    if len(blob) < off:
+        raise CheckpointError(f"truncated checkpoint header in {path}")
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+    if len(blob) < off + header_len:
+        raise CheckpointError(f"truncated checkpoint header in {path}")
+    header, config = _parse_header(blob[off:off + header_len], path)
+    off += header_len
+    dims = config.layer_dims
+    need = off + sum(9 * dims[i] * dims[i + 1] for i in range(config.n_layers))
+    if len(blob) != need:
+        raise CheckpointError(
+            f"checkpoint payload is {len(blob) - off} bytes, expected {need - off} in {path}")
     layers = []
     for i in range(config.n_layers):
-        rows, cols = config.layer_dims[i + 1], config.layer_dims[i]
+        rows, cols = dims[i + 1], dims[i]
         n = rows * cols
-        need = off + n * 8 + n
-        if len(blob) < need:
-            raise CheckpointError(f"truncated checkpoint payload in {path}")
         w = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(rows, cols)
         off += n * 8
         m = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off).reshape(rows, cols)
         off += n
+        if not np.isfinite(w).all():
+            raise CheckpointError(f"layer {i} has non-finite weights in {path}")
+        if (m > 1).any():
+            raise CheckpointError(f"layer {i} has mask bytes other than 0 and 1 in {path}")
+        if (w[m == 0] != 0.0).any():
+            raise CheckpointError(f"layer {i} has nonzero weights under a zero mask in {path}")
         layers.append(WeightLayer(weights=w.copy(), mask=m.copy(),
                                   prunable=header["prunable"][i]))
-    return Network(config, layers), header.get("meta", {})
+    return Network(config, layers), header["meta"]

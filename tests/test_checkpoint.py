@@ -88,3 +88,113 @@ class TestErrors:
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+def flip_payload(blob, header_len, offset, value):
+    """blob with the payload byte at `offset` (past the header) set to value."""
+    out = bytearray(blob)
+    out[len(MAGIC) + 4 + header_len + offset] = value
+    return bytes(out)
+
+
+class TestStrictBoundary:
+    """Everything load_checkpoint accepts is exactly what save_checkpoint
+    writes for the network it returns; anything else is a CheckpointError."""
+
+    def saved(self, tmp_path):
+        p = tmp_path / "s.ckpt"
+        save_checkpoint(p, make_net(seed=6), meta={"stage": "fuzz", "target_loss": 0.25})
+        blob = p.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        return blob, hlen
+
+    def loads_unchanged(self, tmp_path, data):
+        """False on CheckpointError; True if the bytes load and re-save as is."""
+        p, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+        p.write_bytes(data)
+        try:
+            net, meta = load_checkpoint(p)
+        except CheckpointError:
+            return False
+        save_checkpoint(again, net, meta=meta)
+        assert again.read_bytes() == data
+        return True
+
+    def test_truncation_at_every_offset_is_rejected(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        for n in range(len(blob)):
+            assert not self.loads_unchanged(tmp_path, blob[:n]), n
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        assert self.loads_unchanged(tmp_path, blob)
+        for tail in (b"\x00", b"garbage", blob):
+            assert not self.loads_unchanged(tmp_path, blob + tail)
+
+    def test_seeded_byte_flips_load_unchanged_or_are_rejected(self, tmp_path):
+        blob, _ = self.saved(tmp_path)
+        rng = np.random.default_rng(2024)
+        outcomes = []
+        for _ in range(1500):
+            data = bytearray(blob)
+            pos = int(rng.integers(len(data)))
+            if rng.random() < 0.5:
+                data[pos] ^= 1 << int(rng.integers(8))
+            else:
+                data[pos] = int(rng.integers(256))
+            outcomes.append(self.loads_unchanged(tmp_path, bytes(data)))
+        assert any(outcomes) and not all(outcomes)
+
+    def test_bad_payload_values_are_rejected(self, tmp_path):
+        blob, hlen = self.saved(tmp_path)
+        net = make_net(seed=6)
+        n0 = net.layers[0].weights.size
+        zero = int(np.flatnonzero(net.layers[0].mask.ravel() == 0)[0])
+        live = int(np.flatnonzero(net.layers[0].mask.ravel() == 1)[0])
+        nan = struct.pack("<d", float("nan"))
+        inf = struct.pack("<d", float("inf"))
+        for bad in (
+            blob[:len(MAGIC) + 4 + hlen] + nan + blob[len(MAGIC) + 12 + hlen:],
+            blob[:len(MAGIC) + 4 + hlen] + inf + blob[len(MAGIC) + 12 + hlen:],
+            flip_payload(blob, hlen, 8 * n0 + live, 2),  # mask byte outside {0,1}
+            flip_payload(blob, hlen, 8 * zero + 7, 0x3F),  # weight under a zero mask
+        ):
+            p = tmp_path / "bad.ckpt"
+            p.write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)
+
+    def test_bad_headers_are_rejected(self, tmp_path):
+        blob, hlen = self.saved(tmp_path)
+        header = json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen])
+        payload = blob[len(MAGIC) + 4 + hlen:]
+
+        def with_header(raw):
+            return MAGIC + struct.pack("<I", len(raw)) + raw + payload
+
+        def edited(**changes):
+            h = dict(header, **changes)
+            return with_header(json.dumps(h, sort_keys=True, separators=(",", ":")).encode())
+
+        extra = dict(header, extra=1)
+        missing = {k: v for k, v in header.items() if k != "seed"}
+        lif_missing = [{k: v for k, v in p.items() if k != "dt"} for p in header["lif_params"]]
+        for bad in (
+            with_header(b"\xff\xfe" + blob[len(MAGIC) + 6:len(MAGIC) + 4 + hlen]),  # not UTF-8
+            with_header(b"[1, 2]"),
+            with_header(b"{\"format_version\""),
+            with_header(json.dumps(header).encode()),  # not canonical
+            with_header(json.dumps(extra, sort_keys=True, separators=(",", ":")).encode()),
+            with_header(json.dumps(missing, sort_keys=True, separators=(",", ":")).encode()),
+            edited(seed=True),
+            edited(layer_dims=[5, 4, 3, 4, 3]),
+            edited(layer_dims=[5, 4, 3, 4.0, 2]),
+            edited(prunable=[True, True, True]),
+            edited(lif_params=lif_missing),
+            edited(meta=[]),
+            MAGIC + struct.pack("<I", 1 << 20) + blob[len(MAGIC) + 4:],
+        ):
+            p = tmp_path / "bad.ckpt"
+            p.write_bytes(bad)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)

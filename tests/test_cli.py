@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spikeprune.checkpoint import load_checkpoint
+from spikeprune.checkpoint import load_checkpoint, save_checkpoint
 from spikeprune.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -13,6 +13,7 @@ from spikeprune.cli import (
     main,
 )
 from spikeprune.data import load_session
+from spikeprune.network import Network, NetworkConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -207,3 +208,15 @@ class TestErrorExits:
         assert main(["synth", "--config", str(p2)]) == EXIT_OK
         assert main(["eval", "--config", str(p2), "--checkpoint",
                      str(tmp_path / "out" / "dense.ckpt")]) == EXIT_DATA
+
+    def test_truncated_or_padded_checkpoint_is_data_error(self, tmp_path):
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(good, Network.from_config(NetworkConfig.snn3(5, hidden=(4, 3, 4))))
+        blob = good.read_bytes()
+        assert main(["eval", "--config", str(p), "--checkpoint", str(good)]) == EXIT_OK
+        bad = tmp_path / "bad.ckpt"
+        for data in [blob[:n] for n in range(len(blob))] + [blob + b"\x00"]:
+            bad.write_bytes(data)
+            assert main(["eval", "--config", str(p), "--checkpoint", str(bad)]) == EXIT_DATA
