@@ -99,10 +99,10 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
         p = net.config.lif_params[i]
         decay = p.decay
         u = membranes[i]
+        c = np.zeros_like(u[0])
         if not net.config.spiking_flags[i]:
             # readout: the membrane feeds the loss directly and the next step
             du = src
-            c = np.zeros_like(u[0])
             for du_t in du[::-1]:
                 du_t += decay * c
                 c = du_t
@@ -114,12 +114,9 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
                 g = s * (1.0 - s) / width
             du = src * g
             keep = 1.0 - s
-            c = np.zeros_like(u[0])
             if mode == SPIKING:
                 for du_t, kt in zip(du[::-1], keep[::-1]):
-                    dc = decay * c
-                    dc *= kt
-                    du_t += dc
+                    du_t += decay * c * kt
                     c = du_t
             else:
                 # reset path differentiated too: v = u(1-s) + r*s
