@@ -23,9 +23,9 @@ print(f"tau={params.tau}, dt={params.dt} -> per-step decay factor "
 def neuron(weights, mask, lif=params):
     """One hidden LIF neuron behind the given synapses, plus a silent readout."""
     n_in = len(weights)
-    cfg = NetworkConfig(layer_dims=(n_in, 1, 2), lif_params=(lif, lif))
+    cfg = NetworkConfig(layer_dims=(n_in, 1, 2), lif=lif)
     return Network(cfg, [WeightLayer(np.array([weights]), np.array([mask])),
-                         WeightLayer(np.zeros((2, 1)), np.ones((2, 1)), False)])
+                         WeightLayer(np.zeros((2, 1)), np.ones((2, 1)))])
 
 
 def run(net, inputs, u0=0.0):

@@ -1,11 +1,14 @@
 """Self-describing binary checkpoint for a network.
 
 Layout: 8-byte magic b"SPCKPT1\\n", u32 little-endian header length, UTF-8
-JSON header (format-version string, layer dims, spiking flags, LIF
-parameters, seed, prunable flags, free-form metadata), then for each layer
-its weights as row-major little-endian float64 followed by its mask as one
-byte per entry. Weights and masks round-trip bit-exactly; writing the same
-network twice produces identical bytes.
+JSON header, then for each layer its weights as row-major little-endian
+float64 followed by its mask as one byte per entry. The header is a
+canonical JSON object with exactly the keys format_version ("2"),
+layer_dims, lif (the one LIF parameter set of every layer), seed and meta
+(free-form metadata). Which layers spike and which are prunable follows from
+layer_dims: all but the readout. Files of format "1", which stored those
+facts per layer, are rejected. Weights and masks round-trip bit-exactly;
+writing the same network twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ __all__ = ["CheckpointError", "CheckpointVersionError", "save_checkpoint",
            "load_checkpoint", "FORMAT_VERSION"]
 
 MAGIC = b"SPCKPT1\n"
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 class CheckpointError(ValueError):
@@ -32,8 +35,7 @@ class CheckpointVersionError(CheckpointError):
     pass
 
 
-_HEADER_KEYS = {"format_version", "layer_dims", "spiking_flags", "lif_params",
-                "seed", "prunable", "meta"}
+_HEADER_KEYS = {"format_version", "layer_dims", "lif", "seed", "meta"}
 _LIF_KEYS = {"tau", "threshold", "reset_value", "dt"}
 
 
@@ -42,17 +44,13 @@ def _header_blob(header: dict) -> bytes:
 
 
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
+    p = net.config.lif
     header = {
         "format_version": FORMAT_VERSION,
         "layer_dims": list(net.config.layer_dims),
-        "spiking_flags": list(net.config.spiking_flags),
-        "lif_params": [
-            {"tau": p.tau, "threshold": p.threshold,
-             "reset_value": p.reset_value, "dt": p.dt}
-            for p in net.config.lif_params
-        ],
+        "lif": {"tau": p.tau, "threshold": p.threshold,
+                "reset_value": p.reset_value, "dt": p.dt},
         "seed": net.config.seed,
-        "prunable": [l.prunable for l in net.layers],
         "meta": meta or {},
     }
     blob = _header_blob(header)
@@ -85,31 +83,23 @@ def _parse_header(raw: bytes, path) -> tuple[dict, NetworkConfig]:
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"checkpoint format version {version!r}, expected {FORMAT_VERSION!r}"
+            f"checkpoint format version {version!r} in {path}, expected {FORMAT_VERSION!r}"
         )
     if set(header) != _HEADER_KEYS:
         raise CheckpointError(
             f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)} in {path}")
     if _header_blob(header) != raw:
         raise CheckpointError(f"checkpoint header is not in canonical form in {path}")
-    lif = header["lif_params"]
-    if not (_all(header["layer_dims"], int) and _all(header["spiking_flags"], bool)
-            and _all(header["prunable"], bool) and _all([header["seed"]], int)
-            and isinstance(header["meta"], dict) and isinstance(lif, list)
-            and all(isinstance(p, dict) and set(p) == _LIF_KEYS
-                    and _all(list(p.values()), (int, float)) for p in lif)):
+    lif = header["lif"]
+    if not (_all(header["layer_dims"], int) and _all([header["seed"]], int)
+            and isinstance(header["meta"], dict) and isinstance(lif, dict)
+            and set(lif) == _LIF_KEYS and _all(list(lif.values()), (int, float))):
         raise CheckpointError(f"checkpoint header has a field of the wrong type in {path}")
     try:
-        config = NetworkConfig(
-            layer_dims=tuple(header["layer_dims"]),
-            spiking_flags=tuple(header["spiking_flags"]),
-            lif_params=tuple(LifParams(**p) for p in lif),
-            seed=header["seed"],
-        )
+        config = NetworkConfig(layer_dims=tuple(header["layer_dims"]),
+                               lif=LifParams(**lif), seed=header["seed"])
     except ValueError as e:
         raise CheckpointError(f"checkpoint header describes no valid network in {path}: {e}") from e
-    if len(header["prunable"]) != config.n_layers:
-        raise CheckpointError(f"checkpoint needs one prunable flag per layer in {path}")
     return header, config
 
 
@@ -153,6 +143,5 @@ def load_checkpoint(path):
             raise CheckpointError(f"layer {i} has mask bytes other than 0 and 1 in {path}")
         if (w[m == 0] != 0.0).any():
             raise CheckpointError(f"layer {i} has nonzero weights under a zero mask in {path}")
-        layers.append(WeightLayer(weights=w.copy(), mask=m.copy(),
-                                  prunable=header["prunable"][i]))
+        layers.append(WeightLayer(weights=w.copy(), mask=m.copy()))
     return Network(config, layers), header["meta"]

@@ -9,6 +9,8 @@ reports carry it on a leading comment line, and synthesized sessions append
 metadata field).
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
+A config that cannot be read, is not UTF-8 JSON, or has a key or type not
+in DEFAULT_CONFIG is a config error; any other OSError is a data error.
 """
 
 from __future__ import annotations
@@ -66,19 +68,48 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# Every key a config may set, with a value of the type it must have: the
+# defaults, plus "finetune" taking train's keys and the optional "lif.tau"
+_SCHEMA = _merge(DEFAULT_CONFIG, {"finetune": DEFAULT_CONFIG["train"], "lif": {"tau": 20.0}})
+
+
+def _check_schema(value, schema, path: str) -> None:
+    """Raise ConfigError naming the path of the first key or type not in schema.
+
+    An int is needed where the schema has an int, an int or float where it
+    has a float, and a bool is never a number.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'} must be a JSON object")
+        for k, v in value.items():
+            key = f"{path}.{k}" if path else k
+            if k not in schema:
+                raise ConfigError(f"unknown config key {key}")
+            _check_schema(v, schema[k], key)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        for i, v in enumerate(value):
+            _check_schema(v, schema[0], f"{path}[{i}]")
+    else:
+        kind = (int, float) if isinstance(schema, float) else type(schema)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            name = "a number" if isinstance(schema, float) else f"of type {type(schema).__name__}"
+            raise ConfigError(f"{path} must be {name}, got {value!r}")
+
+
 def load_config(path) -> dict:
+    """Read a config document, check it against the schema and merge it
+    over DEFAULT_CONFIG; raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             user = json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
+    _check_schema(user, _SCHEMA, "")
     cfg = _merge(DEFAULT_CONFIG, user)
     if "seed" not in user:
         raise ConfigError("config must set an explicit seed")
@@ -300,7 +331,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -98,6 +98,8 @@ class SpikeSession:
             )
         if self.velocity.size and not np.all(np.isfinite(self.velocity)):
             raise SessionDimensionError("velocity contains non-finite values")
+        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise SessionFormatError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
 
     def slice(self, start: int, stop: int, suffix: str) -> "SpikeSession":
         return replace(
@@ -134,7 +136,12 @@ def save_session(path, session: SpikeSession) -> None:
 
 
 def load_session(path) -> SpikeSession:
-    """Parse and validate a session file, with a distinct error per failure mode."""
+    """Parse and validate a session file, with a distinct error per failure mode.
+
+    Raises a SessionFormatError unless the file is exactly what save_session
+    writes for some session: a short file is a TruncatedSessionError, and
+    trailing bytes or a session id that is not UTF-8 are rejected too.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
@@ -151,7 +158,14 @@ def load_session(path) -> SpikeSession:
         raise TruncatedSessionError(
             f"truncated payload in {path}: have {len(blob)} bytes, need {expected}"
         )
-    session_id = blob[off:off + id_len].decode("utf-8")
+    if len(blob) > expected:
+        raise SessionFormatError(
+            f"{len(blob) - expected} trailing bytes in {path} after {expected}"
+        )
+    try:
+        session_id = blob[off:off + id_len].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SessionFormatError(f"session id is not UTF-8 in {path}: {e}") from e
     off += id_len
     spikes = np.frombuffer(blob, dtype=np.uint8, count=T * channels, offset=off)
     spikes = spikes.reshape(T, channels)
@@ -206,6 +220,8 @@ def generate_synthetic(seed: int, channels: int, T: int, rate: float,
     """
     if not 0 < rate < 1:
         raise ValueError(f"rate must be in (0,1), got {rate}")
+    if not label_tau_steps > 0:
+        raise ValueError(f"label_tau_steps must be > 0, got {label_tau_steps}")
     rng = np.random.default_rng(seed)
     spikes = (rng.random((T, channels)) < rate).astype(np.uint8)
     if mixing is None:

@@ -76,28 +76,17 @@ def connection_sparsity(net: Network, prunable_only: bool = False) -> float:
     return zeros / total if total else 0.0
 
 
-def activation_sparsity(record: ActivationRecord, include_input: bool = True,
-                        per_layer_average: bool = False) -> float:
-    """Fraction of zero activation values across layers and timesteps.
+def activation_sparsity(record: ActivationRecord) -> float:
+    """Fraction of zero activation values, pooled over layers and timesteps.
 
-    Pools all values globally by default; per_layer_average instead averages
-    each layer's own zero fraction. Input spikes count as activations (they
-    drive first-layer synaptic events), as do output membrane values.
+    Input spikes count as activations (they drive first-layer synaptic
+    events), as do output membrane values.
     """
     if record.timesteps == 0:
         raise ValueError("empty activation record")
-    fractions = []
-    zeros = 0
-    total = 0
-    for _, acts in record.all_activations(include_input=include_input):
-        z = int(np.count_nonzero(acts == 0))
-        n = acts.size
-        zeros += z
-        total += n
-        fractions.append(z / n)
-    if per_layer_average:
-        return float(np.mean(fractions))
-    return zeros / total
+    groups = [record.input_spikes, *record.hidden_spikes, record.output_membrane]
+    zeros = sum(int(np.count_nonzero(a == 0)) for a in groups)
+    return zeros / sum(a.size for a in groups)
 
 
 def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):

@@ -51,7 +51,7 @@ _EVAL_WINDOW = 1000
 
 @dataclass(frozen=True)
 class LifParams:
-    """LIF neuron parameters for one layer.
+    """LIF neuron parameters, shared by every layer of a network.
 
     tau and dt share a unit (milliseconds); the per-step decay factor is
     exp(-dt/tau). threshold=1 and reset_value=0 match the reference decoder
@@ -79,14 +79,14 @@ class NetworkConfig:
     """Topology and neuron parameters for the velocity decoder.
 
     layer_dims is [input, hidden..., output]; the output layer has exactly
-    2 neurons (X/Y velocity) and does not spike. With hidden widths
+    2 neurons (X/Y velocity). Every hidden layer spikes and the readout does
+    not; all layers share the one LIF model `lif`. With hidden widths
     (50, 50, 50) the bias-free synapse count is 9,900 for 96 input channels
     and 14,700 for 192.
     """
 
     layer_dims: tuple[int, ...]
-    spiking_flags: tuple[bool, ...] = ()
-    lif_params: tuple[LifParams, ...] = ()
+    lif: LifParams = LifParams()
     seed: int = 0
 
     def __post_init__(self):
@@ -99,27 +99,12 @@ class NetworkConfig:
             raise ValueError(
                 f"output layer must have 2 neurons (X/Y velocity), got {self.layer_dims[-1]}"
             )
-        n_layers = len(self.layer_dims) - 1
-        if not self.spiking_flags:
-            self.spiking_flags = tuple([True] * (n_layers - 1) + [False])
-        else:
-            self.spiking_flags = tuple(bool(f) for f in self.spiking_flags)
-        if len(self.spiking_flags) != n_layers:
-            raise ValueError("spiking_flags must have one entry per connection layer")
-        if self.spiking_flags[-1] or not all(self.spiking_flags[:-1]):
-            raise ValueError("hidden layers must spike and the output layer must not")
-        if not self.lif_params:
-            self.lif_params = tuple(LifParams() for _ in range(n_layers))
-        if len(self.lif_params) != n_layers:
-            raise ValueError("lif_params must have one entry per connection layer")
 
     @classmethod
     def snn3(cls, channels: int, hidden=(50, 50, 50), lif: LifParams | None = None,
              seed: int = 0) -> "NetworkConfig":
         """Standard 3-hidden-layer decoder for a given input channel count."""
-        dims = (channels, *hidden, 2)
-        params = tuple(lif or LifParams() for _ in range(len(dims) - 1))
-        return cls(layer_dims=dims, lif_params=params, seed=seed)
+        return cls(layer_dims=(channels, *hidden, 2), lif=lif or LifParams(), seed=seed)
 
     @property
     def n_layers(self) -> int:
@@ -136,12 +121,12 @@ class WeightLayer:
 
     Wherever mask is 0 the stored weight is kept at exactly 0; the forward
     pass additionally multiplies by the mask so stored values under a 0 mask
-    can never leak into the computation.
+    can never leak into the computation. Whether a layer spikes and may be
+    pruned follows from its place in the Network: all but the readout.
     """
 
     weights: np.ndarray
     mask: np.ndarray
-    prunable: bool = True
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -187,19 +172,12 @@ class ActivationRecord:
             return self.input_spikes
         return self.hidden_spikes[layer_index - 1]
 
-    def all_activations(self, include_input: bool = True):
-        """Yield (name, array) for every activation group in the record."""
-        if include_input:
-            yield "input", self.input_spikes
-        for i, s in enumerate(self.hidden_spikes):
-            yield f"hidden{i + 1}", s
-        yield "output", self.output_membrane
-
 
 class Network:
     """A configured LIF decoder: config plus one WeightLayer per connection.
 
-    The final (readout) layer is exempt from pruning.
+    The final (readout) layer is exempt from pruning: the prunable layers
+    are all the others.
     """
 
     def __init__(self, config: NetworkConfig, layers: list[WeightLayer]):
@@ -224,42 +202,35 @@ class Network:
             fan_out = config.layer_dims[i + 1]
             w = rng.normal(0.0, init_scale / math.sqrt(fan_in), size=(fan_out, fan_in))
             mask = np.ones((fan_out, fan_in), dtype=np.uint8)
-            prunable = i < config.n_layers - 1
-            layers.append(WeightLayer(weights=w, mask=mask, prunable=prunable))
+            layers.append(WeightLayer(weights=w, mask=mask))
         return cls(config, layers)
 
     @property
     def input_dim(self) -> int:
         return self.config.layer_dims[0]
 
-    def hidden_dims(self) -> list[int]:
-        return [self.config.layer_dims[i + 1] for i in range(self.config.n_layers - 1)]
-
     def prunable_layers(self) -> list[WeightLayer]:
-        return [l for l in self.layers if l.prunable]
+        return self.layers[:-1]
 
     def apply_masks(self) -> None:
         for layer in self.layers:
             layer.apply_mask()
 
     def snapshot(self) -> dict:
-        """Deep copy of weights, masks, and parameters (in-memory checkpoint)."""
+        """Deep copy of weights and masks (in-memory checkpoint)."""
         return {
             "config": self.config,
             "weights": [l.weights.copy() for l in self.layers],
             "masks": [l.mask.copy() for l in self.layers],
-            "prunable": [l.prunable for l in self.layers],
         }
 
     def restore(self, snap: dict) -> None:
         """Bitwise restore of a snapshot taken from this topology."""
         if snap["config"].layer_dims != self.config.layer_dims:
             raise ValueError("snapshot topology does not match network")
-        for layer, w, m, p in zip(self.layers, snap["weights"], snap["masks"],
-                                  snap["prunable"]):
+        for layer, w, m in zip(self.layers, snap["weights"], snap["masks"]):
             layer.weights = w.copy()
             layer.mask = m.copy()
-            layer.prunable = p
 
 
 def _sigmoid(x):
@@ -294,19 +265,20 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     Tw, B = x.shape[0], x.shape[1]
     if [np.shape(v) for v in state] != [(B, d) for d in dims[1:]]:
         raise ValueError(f"state needs one [{B} x H] membrane array per layer")
+    p = net.config.lif
+    decay = p.decay
+    readout = net.config.n_layers - 1
     acts = [x]
     membranes = []
     final_state = []
     for i, layer in enumerate(net.layers):
-        p = net.config.lif_params[i]
-        decay = p.decay
         a = acts[-1]
         # C-contiguous W^T: BLAS takes another kernel for the transposed view,
         # which rounds the current differently in the last bit
         w_t = layer.effective().T.copy()
         u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
         v = state[i]
-        if not net.config.spiking_flags[i]:
+        if i == readout:
             for ut in u:
                 ut += v * decay
                 v = ut

@@ -297,7 +297,7 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
             raise ValueError("need datasets and a TrainConfig (or an explicit trainer)")
         trainer = EngineTrainer(datasets, tc)
     net = Network(dense_net.config, [
-        WeightLayer(l.weights.copy(), l.mask.copy(), l.prunable)
+        WeightLayer(l.weights.copy(), l.mask.copy())
         for l in dense_net.layers
     ])
     trace = PruneTrace(trace_sink)

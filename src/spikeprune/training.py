@@ -92,15 +92,15 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
     """
     Tw, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
+    p = net.config.lif
+    decay = p.decay
     pred = acts[-1]
     src = (pred - truth) * (2.0 / pred.size)
     grads = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
-        p = net.config.lif_params[i]
-        decay = p.decay
         u = membranes[i]
         c = np.zeros_like(u[0])
-        if not net.config.spiking_flags[i]:
+        if i == n_layers - 1:
             # readout: the membrane feeds the loss directly and the next step
             du = src
             for du_t in du[::-1]:

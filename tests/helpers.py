@@ -38,6 +38,8 @@ def scalar_reference_trace(net, spikes, state=None):
     """
     dims = net.config.layer_dims
     n_layers = net.config.n_layers
+    p = net.config.lif
+    decay = math.exp(-p.dt / p.tau)
     if state is None:
         v = [[0.0] * dims[i + 1] for i in range(n_layers)]
     else:
@@ -48,10 +50,8 @@ def scalar_reference_trace(net, spikes, state=None):
         a = [float(x) for x in spikes[t]]
         acts[0].append(a)
         for i in range(n_layers):
-            p = net.config.lif_params[i]
             w = net.layers[i].weights
             m = net.layers[i].mask
-            decay = math.exp(-p.dt / p.tau)
             nxt = []
             for post in range(dims[i + 1]):
                 cur = 0.0
@@ -59,7 +59,7 @@ def scalar_reference_trace(net, spikes, state=None):
                     cur += w[post, pre] * m[post, pre] * a[pre]
                 nxt.append(v[i][post] * decay + cur)
             membranes[i].append(nxt)
-            if net.config.spiking_flags[i]:
+            if i < n_layers - 1:  # hidden layers spike, the readout does not
                 out = [1.0 if u >= p.threshold else 0.0 for u in nxt]
                 v[i] = [p.reset_value if s else u for u, s in zip(nxt, out)]
                 a = out
@@ -95,17 +95,18 @@ def scalar_surrogate_grads(net, spikes, velocity, width=1.0, state=None):
         diffs = [acts[-1][t][k] - float(velocity[t][k]) for k in range(2)]
         loss += sum(d * d for d in diffs)
         err.append([2.0 * d / n for d in diffs])
-    grads = [None] * net.config.n_layers
-    for i in range(net.config.n_layers - 1, -1, -1):
-        p = net.config.lif_params[i]
-        decay = math.exp(-p.dt / p.tau)
+    n_layers = net.config.n_layers
+    p = net.config.lif
+    decay = math.exp(-p.dt / p.tau)
+    grads = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
         w = net.layers[i].weights
         m = net.layers[i].mask
         du = [[0.0] * dims[i + 1] for _ in range(T)]
         carry = [0.0] * dims[i + 1]
         for t in range(T - 1, -1, -1):
             for j in range(dims[i + 1]):
-                if net.config.spiking_flags[i]:
+                if i < n_layers - 1:
                     u = membranes[i][t][j]
                     s = acts[i + 1][t][j]
                     g = max(0.0, 1.0 - abs(u - p.threshold) / width) / width
@@ -177,7 +178,7 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
     touched; returns (masks as nested lists, removed per prunable layer,
     clamped).
     """
-    layers = [l for l in net.layers if l.prunable]
+    layers = net.layers[:-1]  # every layer but the readout
     masks = [[[int(m) for m in row] for row in l.mask] for l in layers]
     removed = [0] * len(layers)
     budget = None

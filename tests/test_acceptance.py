@@ -81,9 +81,9 @@ def test_criterion_2_lif_closed_form():
             dt = rng.uniform(0.05, 8.0)
             p = LifParams(tau=tau, dt=dt, threshold=1e12)
             # one never-firing hidden layer of 4 neurons, started at u0
-            net = Network(NetworkConfig(layer_dims=(1, 4, 2), lif_params=(p, p)),
+            net = Network(NetworkConfig(layer_dims=(1, 4, 2), lif=p),
                           [WeightLayer(np.ones((4, 1)), np.ones((4, 1))),
-                           WeightLayer(np.ones((2, 4)), np.ones((2, 4)), False)])
+                           WeightLayer(np.ones((2, 4)), np.ones((2, 4)))])
             _, _, final = forward_window(net, np.zeros((100, 1, 1)),
                                          [u0.reshape(1, 4), np.zeros((1, 2))])
             u = final[0][0]

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from spikeprune.checkpoint import (
+    FORMAT_VERSION,
     MAGIC,
     CheckpointError,
     CheckpointVersionError,
     load_checkpoint,
     save_checkpoint,
 )
+from spikeprune.cli import EXIT_DATA, main
 from spikeprune.network import LifParams, Network, NetworkConfig
 
 
@@ -32,15 +34,12 @@ class TestRoundTrip:
         save_checkpoint(p, net, meta={"target_loss": 0.123456789012345})
         loaded, meta = load_checkpoint(p)
         assert loaded.config.layer_dims == net.config.layer_dims
-        assert loaded.config.spiking_flags == net.config.spiking_flags
-        for a, b in zip(loaded.config.lif_params, net.config.lif_params):
-            assert (a.tau, a.threshold, a.reset_value, a.dt) == \
-                (b.tau, b.threshold, b.reset_value, b.dt)
+        assert loaded.config.lif == net.config.lif == LifParams(tau=7.5, dt=2.0)
+        assert loaded.config.seed == net.config.seed
         for la, lb in zip(loaded.layers, net.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert la.weights.dtype == np.float64
             assert np.array_equal(la.mask, lb.mask)
-            assert la.prunable == lb.prunable
         assert meta["target_loss"] == 0.123456789012345
 
     def test_same_bytes_on_rewrite(self, tmp_path):
@@ -81,6 +80,15 @@ class TestErrors:
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(p)
 
+    def test_format_1_file_is_rejected(self, tmp_path):
+        p = tmp_path / "v1.ckpt"
+        write_format_1(p, make_net(seed=2))
+        with pytest.raises(CheckpointVersionError, match="'1'.*'2'"):
+            load_checkpoint(p)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 1}))
+        assert main(["eval", "--config", str(config), "--checkpoint", str(p)]) == EXIT_DATA
+
     def test_truncated(self, tmp_path):
         net = make_net()
         p = tmp_path / "t.ckpt"
@@ -88,6 +96,35 @@ class TestErrors:
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(p)
+
+
+def header_of(blob):
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    return json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen]), blob[len(MAGIC) + 4 + hlen:]
+
+
+def write_format_1(path, net):
+    """Write `net` with a format-1 header: per-layer spiking flags, LIF
+    parameters and prunable flags, and the same payload as format 2."""
+    save_checkpoint(path, net, meta={"stage": "pretrain"})
+    header, payload = header_of(path.read_bytes())
+    n = net.config.n_layers
+    old = {"format_version": "1", "layer_dims": header["layer_dims"],
+           "spiking_flags": [True] * (n - 1) + [False], "lif_params": [header["lif"]] * n,
+           "seed": header["seed"], "prunable": [True] * (n - 1) + [False],
+           "meta": header["meta"]}
+    raw = json.dumps(old, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+
+
+class TestFormat2:
+    def test_header_keys(self, tmp_path):
+        p = tmp_path / "h.ckpt"
+        save_checkpoint(p, make_net(seed=1), meta={"k": 1})
+        header, _ = header_of(p.read_bytes())
+        assert set(header) == {"format_version", "layer_dims", "lif", "seed", "meta"}
+        assert header["format_version"] == FORMAT_VERSION == "2"
+        assert header["lif"] == {"tau": 7.5, "threshold": 1.0, "reset_value": 0.0, "dt": 2.0}
 
 
 def flip_payload(blob, header_len, offset, value):
@@ -178,7 +215,7 @@ class TestStrictBoundary:
 
         extra = dict(header, extra=1)
         missing = {k: v for k, v in header.items() if k != "seed"}
-        lif_missing = [{k: v for k, v in p.items() if k != "dt"} for p in header["lif_params"]]
+        lif_missing = {k: v for k, v in header["lif"].items() if k != "dt"}
         for bad in (
             with_header(b"\xff\xfe" + blob[len(MAGIC) + 6:len(MAGIC) + 4 + hlen]),  # not UTF-8
             with_header(b"[1, 2]"),
@@ -189,8 +226,8 @@ class TestStrictBoundary:
             edited(seed=True),
             edited(layer_dims=[5, 4, 3, 4, 3]),
             edited(layer_dims=[5, 4, 3, 4.0, 2]),
-            edited(prunable=[True, True, True]),
-            edited(lif_params=lif_missing),
+            edited(lif=[header["lif"]] * 4),
+            edited(lif=lif_missing),
             edited(meta=[]),
             MAGIC + struct.pack("<I", 1 << 20) + blob[len(MAGIC) + 4:],
         ):

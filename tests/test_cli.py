@@ -5,6 +5,7 @@ import pytest
 
 from spikeprune.checkpoint import load_checkpoint, save_checkpoint
 from spikeprune.cli import (
+    DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
@@ -38,6 +39,15 @@ def write_config(tmp_path, **overrides):
     return path, cfg
 
 
+def wrong_values(default):
+    """Values of another type than `default`; a bool is never a number."""
+    if isinstance(default, list):
+        return ["50", [1.5], ["x"], [True]]
+    right = (int, float) if isinstance(default, float) else type(default)
+    return [v for v in ("2", True, None, [1], {"a": 1}, 2.5)
+            if isinstance(v, bool) or not isinstance(v, right)]
+
+
 class TestConfig:
     def test_requires_seed(self, tmp_path):
         p = tmp_path / "c.json"
@@ -56,6 +66,58 @@ class TestConfig:
     def test_digest_is_stable(self, tmp_path):
         p, _ = write_config(tmp_path)
         assert config_digest(load_config(p)) == config_digest(load_config(p))
+
+    def test_directory_as_config(self, tmp_path):
+        assert main(["synth", "--config", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "max_epochs", "2"),  # a string where an int belongs
+        ("prune", "tolerence", 0.5),  # a misspelt key
+    ])
+    def test_schema_names_the_bad_path(self, tmp_path, capsys, section, key, value):
+        p, _ = write_config(tmp_path, **{section: {key: value}})
+        assert main(["pretrain", "--config", str(p)]) == EXIT_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_schema_accepts_every_number_form_it_allows(self, tmp_path):
+        p, _ = write_config(tmp_path, lif={"tau": 20}, finetune={"learning_rate": 1},
+                            network={"hidden": []})
+        cfg = load_config(p)
+        assert cfg["lif"]["tau"] == 20 and cfg["finetune"] == {"learning_rate": 1}
+
+    def test_seeded_wrong_types_and_misspelt_keys_exit_2(self, tmp_path, capsys):
+        """Every key of the defaults (finetune takes train's keys, plus the
+        optional lif.tau), given once a value of the wrong type and once
+        under a misspelt name."""
+        schema = dict(DEFAULT_CONFIG, finetune=DEFAULT_CONFIG["train"],
+                      lif=dict(DEFAULT_CONFIG["lif"], tau=20.0))
+        paths = [(k,) for k in schema]
+        paths += [(k, sub) for k, v in schema.items() if isinstance(v, dict) for sub in v]
+        rng = np.random.default_rng(7)
+        cases = 0
+        for path in paths:
+            default = schema[path[0]] if len(path) == 1 else schema[path[0]][path[1]]
+            bad = wrong_values(default)
+            name = list(path[-1])
+            i = int(rng.integers(len(name)))
+            if rng.random() < 0.5:
+                name.insert(i, "x")
+            else:
+                del name[i]
+            for mutated in (path[:-1] + ("".join(name),), path):
+                _, cfg = write_config(tmp_path)
+                doc = cfg
+                for key in mutated[:-1]:
+                    doc = doc.setdefault(key, {})
+                value = default if mutated != path else bad[int(rng.integers(len(bad)))]
+                doc[mutated[-1]] = value
+                p = tmp_path / "mutated.json"
+                p.write_text(json.dumps(cfg))
+                assert main(["synth", "--config", str(p)]) == EXIT_CONFIG, (mutated, value)
+                err = capsys.readouterr().err
+                assert err.startswith("config error:") and "Traceback" not in err
+                cases += 1
+        assert cases == 2 * len(paths) > 80
 
 
 class TestSynth:
@@ -193,6 +255,23 @@ class TestPipelineCommands:
 class TestErrorExits:
     def test_missing_session_is_data_error(self, tmp_path):
         p, _ = write_config(tmp_path)
+        assert main(["pretrain", "--config", str(p)]) == EXIT_DATA
+
+    def test_directory_as_session_or_checkpoint_is_data_error(self, tmp_path):
+        p, _ = write_config(tmp_path, data={"session": str(tmp_path)})
+        assert main(["pretrain", "--config", str(p)]) == EXIT_DATA
+        p, _ = write_config(tmp_path)
+        assert main(["eval", "--config", str(p), "--checkpoint", str(tmp_path)]) == EXIT_DATA
+
+    def test_padded_session_or_bad_id_is_data_error(self, tmp_path):
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        session = tmp_path / "unit.spk"
+        good = session.read_bytes()
+        session.write_bytes(good + b"junk")
+        assert main(["pretrain", "--config", str(p)]) == EXIT_DATA
+        start = good.index(b"unit#cfg:")
+        session.write_bytes(good[:start] + b"\xff" + good[start + 1:])
         assert main(["pretrain", "--config", str(p)]) == EXIT_DATA
 
     def test_corrupt_session_is_data_error(self, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,66 @@ class TestFileFormat:
         assert loaded.timesteps == 0 and loaded.channels == 5
 
 
+class TestStrictBoundary:
+    """Everything load_session accepts is exactly what save_session writes
+    for the session it returns; anything else is a SessionFormatError."""
+
+    def saved(self, tmp_path):
+        p = tmp_path / "s.spk"
+        save_session(p, sample_session(T=12, channels=3, seed=4))
+        return p.read_bytes()
+
+    def loads_unchanged(self, tmp_path, data):
+        """False on SessionFormatError; True if the bytes load and re-save as is."""
+        p, again = tmp_path / "m.spk", tmp_path / "again.spk"
+        p.write_bytes(data)
+        try:
+            session = load_session(p)
+        except SessionFormatError:
+            return False
+        save_session(again, session)
+        assert again.read_bytes() == data
+        return True
+
+    def test_truncation_at_every_offset_is_rejected(self, tmp_path):
+        blob = self.saved(tmp_path)
+        for n in range(len(blob)):
+            assert not self.loads_unchanged(tmp_path, blob[:n]), n
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        blob = self.saved(tmp_path)
+        assert self.loads_unchanged(tmp_path, blob)
+        for tail in (b"\x00", b"junk", blob):
+            assert not self.loads_unchanged(tmp_path, blob + tail)
+
+    def test_seeded_byte_flips_load_unchanged_or_are_rejected(self, tmp_path):
+        blob = self.saved(tmp_path)
+        rng = np.random.default_rng(2025)
+        outcomes = []
+        for _ in range(1500):
+            data = bytearray(blob)
+            pos = int(rng.integers(len(data)))
+            if rng.random() < 0.5:
+                data[pos] ^= 1 << int(rng.integers(8))
+            else:
+                data[pos] = int(rng.integers(256))
+            outcomes.append(self.loads_unchanged(tmp_path, bytes(data)))
+        assert any(outcomes) and not all(outcomes)
+
+    def test_bad_id_and_dt_are_rejected(self, tmp_path):
+        blob = self.saved(tmp_path)
+        head = len(MAGIC) + struct.calcsize("<IIQdI")
+        dt_at = head - 12
+        assert blob[head:head + 6] == b"sample"
+        for bad in (
+            blob[:head] + b"\xff\xfe" + blob[head + 2:],  # id not UTF-8
+            blob[:dt_at] + struct.pack("<d", float("nan")) + blob[dt_at + 8:],
+            blob[:dt_at] + struct.pack("<d", 0.0) + blob[dt_at + 8:],
+            blob[:dt_at] + struct.pack("<d", -4.0) + blob[dt_at + 8:],
+        ):
+            assert not self.loads_unchanged(tmp_path, bad)
+
+
 class TestSplit:
     def test_160_timesteps(self):
         session = sample_session(T=160)
@@ -172,6 +234,11 @@ class TestSynthetic:
             generate_synthetic(seed=0, channels=4, T=10, rate=0.0)
         with pytest.raises(ValueError):
             generate_synthetic(seed=0, channels=4, T=10, rate=1.0)
+
+    def test_label_tau_validation(self):
+        for tau in (0.0, -5.0):
+            with pytest.raises(ValueError):
+                generate_synthetic(seed=0, channels=4, T=10, rate=0.5, label_tau_steps=tau)
 
     def test_explicit_mixing(self):
         mix = np.zeros((2, 4))

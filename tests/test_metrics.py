@@ -115,13 +115,12 @@ class TestActivationSparsity:
                                np.array([[0.0, 0.0]]), timesteps=1)
         assert activation_sparsity(rec) == pytest.approx(0.75)
 
-    def test_input_exclusion_and_per_layer_average(self):
+    def test_pools_input_hidden_and_output(self):
+        # input [1,1], hidden [1,0], output [0,0]: 3 of 6 values are zero
         rec = ActivationRecord(np.array([[1, 1]], dtype=np.uint8),
                                [np.array([[1, 0]], dtype=np.uint8)],
                                np.array([[0.0, 0.0]]), timesteps=1)
-        assert activation_sparsity(rec, include_input=False) == pytest.approx(3 / 4)
-        assert activation_sparsity(rec, per_layer_average=True) == \
-            pytest.approx((0.0 + 0.5 + 1.0) / 3)
+        assert activation_sparsity(rec) == 3 / 6
 
     def test_empty_record_raises(self):
         rec = ActivationRecord(np.zeros((0, 2), dtype=np.uint8), [],

@@ -15,6 +15,7 @@ from spikeprune.network import (
     forward_window,
     network_forward,
 )
+from spikeprune.pruning import prune_step
 
 
 def tiny_net(dims=(2, 3, 3, 3, 2), seed=0, tau=5.0, dt=1.0):
@@ -27,10 +28,10 @@ def one_layer_net(weights, mask=None, params=LifParams()):
     """A single hidden layer with the given weights, plus a zero readout."""
     weights = np.asarray(weights, dtype=np.float64)
     n_out, n_in = weights.shape
-    cfg = NetworkConfig(layer_dims=(n_in, n_out, 2), lif_params=(params, params))
+    cfg = NetworkConfig(layer_dims=(n_in, n_out, 2), lif=params)
     mask = np.ones(weights.shape) if mask is None else mask
     return Network(cfg, [WeightLayer(weights, mask),
-                         WeightLayer(np.zeros((2, n_out)), np.ones((2, n_out)), False)])
+                         WeightLayer(np.zeros((2, n_out)), np.ones((2, n_out)))])
 
 
 def run_steps(net, inputs, u0=None):
@@ -292,13 +293,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(layer_dims=(4, 3, 3))
 
-    def test_spiking_pattern_enforced(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(layer_dims=(4, 3, 2), spiking_flags=(True, True))
-
     def test_output_layer_not_prunable(self):
         net = Network.from_config(NetworkConfig.snn3(4, hidden=(3, 3, 3)))
-        assert [l.prunable for l in net.layers] == [True, True, True, False]
+        prunable = net.prunable_layers()
+        assert len(prunable) == 3 and all(a is b for a, b in zip(prunable, net.layers))
+        prune_step(net, 100.0)
+        assert [l.n_masked for l in net.layers] == [12, 9, 9, 0]
 
     def test_snapshot_restore_roundtrip(self):
         net = tiny_net(seed=17)
