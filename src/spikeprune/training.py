@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DIFFERENTIABLE, SPIKING, LifParams, Network, NetworkConfig, forward_window
+from .network import (DIFFERENTIABLE, SPIKING, LifParams, Network, NetworkConfig,
+                      _forward_sequences, forward_window)
 
 __all__ = [
     "TrainConfig",
@@ -54,6 +55,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_length < 1:
             raise ValueError("batch_length must be >= 1")
         if not self.surrogate_width > 0:
@@ -250,20 +253,16 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
 
 
 def validate(net: Network, segments) -> float:
-    """Forward-only MSE over the given segments; no state is mutated."""
-    groups = _length_groups(segments)
-    if not groups:
+    """Forward-only MSE over the given segments; no state is mutated.
+
+    It is mse_loss of eval's prediction: the same grouped per-sequence
+    forward, concatenated in segment order.
+    """
+    segments = list(segments)
+    if not any(seg.timesteps for seg in segments):
         raise ValueError("empty validation dataset")
-    total_sq = 0.0
-    total_n = 0
-    for length, group in groups.items():
-        x, y = _batch_group(group)
-        state = [np.zeros((len(group), net.config.layer_dims[i + 1]))
-                 for i in range(net.config.n_layers)]
-        pred = forward_window(net, x, state)[0][-1]
-        total_sq += float(np.sum((pred - y) ** 2))
-        total_n += pred.size
-    return total_sq / total_n
+    record = _forward_sequences(net, [seg.spikes for seg in segments])
+    return mse_loss(record.output_membrane, np.concatenate([seg.velocity for seg in segments]))
 
 
 def pretrain(config: NetworkConfig, split: dict, cfg: TrainConfig,

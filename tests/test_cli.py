@@ -181,6 +181,23 @@ class TestPipelineCommands:
         net, meta = load_checkpoint(tmp_path / "out" / "dense.ckpt")
         assert meta["epochs"] == 0
 
+    @pytest.mark.parametrize("section", ["train", "finetune"])
+    def test_negative_max_epochs_exits_2_without_checkpoint(self, prepared, capsys, section):
+        p, tmp = prepared
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        dense = str(tmp / "out" / "dense.ckpt")
+        bad, _ = write_config(tmp, out_dir=str(tmp / "bad"), **{section: {"max_epochs": -1}})
+        commands = [["prune", "--config", str(bad), "--checkpoint", dense]]
+        if section == "train":
+            commands.append(["pretrain", "--config", str(bad)])
+        capsys.readouterr()
+        for argv in commands:
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "max_epochs" in err
+            assert "Traceback" not in err
+        assert not list(tmp.glob("bad/*.ckpt"))
+
     def test_prune_fixed_mode_and_trace(self, prepared):
         p, tmp = prepared
         assert main(["pretrain", "--config", str(p)]) == EXIT_OK

@@ -9,14 +9,16 @@ from spikeprune.metrics import (
     connection_sparsity,
     effective_ops,
     evaluate_segments,
-    merge_records,
     r_squared,
 )
 from spikeprune.network import (
+    _EVAL_BATCH,
+    _EVAL_WINDOW,
     ActivationRecord,
     LifParams,
     Network,
     NetworkConfig,
+    _forward_sequences,
     network_forward,
 )
 from spikeprune.pruning import prune_step
@@ -216,11 +218,58 @@ class TestSegmentEvaluation:
         assert report.effective_ops >= 0.0
         assert report.ops_kind == "AC"
 
-    def test_merge_records_lengths(self):
+    def test_pooled_record_lengths(self):
         session = generate_synthetic(seed=2, channels=6, T=400, rate=0.3)
         split = split_session(session)
         net = make_net((6, 8, 8, 8, 2), seed=1)
-        records = [network_forward(net, seg.spikes)[1] for seg in split["val"]]
-        merged = merge_records(records)
-        assert merged.timesteps == sum(r.timesteps for r in records)
-        assert merged.input_spikes.shape[0] == merged.timesteps
+        segs = split["train"] + split["val"] + split["test"]
+        record = _forward_sequences(net, [seg.spikes for seg in segs])
+        total = sum(seg.timesteps for seg in segs)
+        assert record.timesteps == total
+        assert record.input_spikes.shape == (total, 6)
+        assert [h.shape for h in record.hidden_spikes] == [(total, 8)] * 3
+        assert record.output_membrane.shape == (total, 2)
+
+    def test_grouped_eval_equals_per_segment_eval(self):
+        """Equal-length segments run together; every output must equal the
+        same segment run alone. T=60,003 splits its test part into one 3750-
+        and three 3751-step segments (a group of size 1 and one of 3), both
+        longer than the eval window; five more segments are one step longer
+        than the window, more than one batch. At 96 channels a GEMM pooled
+        over a batch would round other bits than the per-segment one."""
+        session = generate_synthetic(seed=4, channels=96, T=60_003, rate=0.3)
+        split = split_session(session)
+        extra = [session.slice(lo, lo + _EVAL_WINDOW + 1, f"/w{lo}")
+                 for lo in range(0, 50_000, 10_000)]
+        segs = [split["test"][0], *extra[:2], *split["test"][1:], *extra[2:]]
+        assert len(extra) > _EVAL_BATCH
+        assert [s.timesteps for s in segs] == [3750, 1001, 1001, 3751, 3751, 3751, 1001,
+                                               1001, 1001]
+        net = Network.from_config(NetworkConfig.snn3(96, seed=4), init_scale=2.0)
+        net.layers[1].mask[::3] = 0
+        net.apply_masks()
+
+        runs = [network_forward(net, seg.spikes) for seg in segs]
+        pred = np.concatenate([p for p, _ in runs])
+        record = _forward_sequences(net, [seg.spikes for seg in segs])
+        assert np.array_equal(record.output_membrane, pred)
+        assert np.array_equal(record.input_spikes,
+                              np.concatenate([r.input_spikes for _, r in runs]))
+        for i, h in enumerate(record.hidden_spikes):
+            assert h.any()
+            assert np.array_equal(h, np.concatenate([r.hidden_spikes[i] for _, r in runs]))
+
+        # the report from per-segment counts, in integers
+        acs = zeros = size = 0
+        for _, r in runs:
+            for i, layer in enumerate(net.layers):
+                col_nnz = np.count_nonzero(layer.effective(), axis=0)
+                acs += int(np.count_nonzero(r.layer_inputs(i), axis=0) @ col_nnz)
+            for a in (r.input_spikes, *r.hidden_spikes, r.output_membrane):
+                zeros += int(np.count_nonzero(a == 0))
+                size += a.size
+        steps = sum(seg.timesteps for seg in segs)
+        report = evaluate_segments(net, segs)
+        assert report.effective_ops == acs / steps
+        assert report.activation_sparsity == zeros / size
+        assert report.r2 == r_squared(pred, np.concatenate([seg.velocity for seg in segs]))

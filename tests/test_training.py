@@ -206,6 +206,18 @@ class TestValidate:
                 pred, _ = network_forward(net, seg.spikes)
                 assert validate(net, [seg]) == mse_loss(pred, seg.velocity)
 
+    def test_several_segments_equal_eval_mse_bitwise(self):
+        # four equal-length val segments share one group; a pooled (T·B)-row
+        # GEMM gave other bits than eval for seeds 2 and 3
+        for seed in range(5):
+            session = generate_synthetic(seed=seed, channels=32, T=20_000, rate=0.3)
+            segs = split_session(session)["val"]
+            assert len(segs) == 4 and len({s.timesteps for s in segs}) == 1
+            net = Network.from_config(NetworkConfig.snn3(32, seed=seed), init_scale=2.0)
+            pred = np.concatenate([network_forward(net, s.spikes)[0] for s in segs])
+            truth = np.concatenate([s.velocity for s in segs])
+            assert validate(net, segs) == mse_loss(pred, truth)
+
     def test_hand_computed_two_timesteps(self):
         # zero weights -> zero prediction; MSE = (1+4+9+16)/4
         from spikeprune.data import SpikeSession
