@@ -34,8 +34,7 @@ config = NetworkConfig.snn3(16, hidden=(40, 40, 40),
                             lif=LifParams(tau=20.0, dt=4.0), seed=7)
 print(f"\nnetwork {config.layer_dims}: {config.synapse_count()} synapses")
 
-train_cfg = TrainConfig(learning_rate=2e-3, max_epochs=80, batch_length=25,
-                        optimizer="adam")
+train_cfg = TrainConfig(learning_rate=2e-3, max_epochs=80, batch_length=25)
 history = []
 net, target_loss = pretrain(config, split, train_cfg,
                             log=lambda e, t, v: history.append((e, t, v)))

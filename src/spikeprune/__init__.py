@@ -3,7 +3,7 @@
 Library layout:
 
 - network: LIF dynamics, masked dense layers, the one forward kernel
-- training: surrogate-gradient BPTT, optimizers, pretraining
+- training: surrogate-gradient BPTT, the Adam optimizer, pretraining
 - pruning: the adaptive prune/fine-tune/rollback controller and its trace
 - metrics: R^2, connection/activation sparsity, effective synaptic ops
 - energy: per-timestep energy and average power on neuromorphic hardware
@@ -23,11 +23,9 @@ from .network import (
 )
 from .training import (
     AdamOptimizer,
-    SgdOptimizer,
     TrainConfig,
     TrainingDivergedError,
     compute_gradients,
-    make_optimizer,
     mse_loss,
     pretrain,
     surrogate_spike_grad,
@@ -49,7 +47,6 @@ from .metrics import (
     activation_sparsity,
     connection_sparsity,
     effective_ops,
-    evaluate_network,
     evaluate_segments,
     r_squared,
 )

@@ -8,9 +8,15 @@ reports carry it on a leading comment line, and synthesized sessions append
 "#cfg:<12 hex>" to the stored session id (the session byte format has no
 metadata field).
 
+The train, prune and energy defaults are those of TrainConfig,
+PruneHyperParams and EnergyParams. The prune command's --mode and --scope
+flags are merged into the config as prune.mode and prune.scope before its
+digest is taken.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
-A config that cannot be read, is not UTF-8 JSON, or has a key or type not
-in DEFAULT_CONFIG is a config error; any other OSError is a data error.
+A config that cannot be read, is not UTF-8 JSON, or has a key, a type or a
+non-finite number not allowed by DEFAULT_CONFIG is a config error; any
+other OSError is a data error.
 """
 
 from __future__ import annotations
@@ -19,9 +25,8 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import checkpoint as ckpt
 from . import data as dataio
@@ -40,12 +45,11 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "network": {"hidden": [50, 50, 50]},
     "lif": {"tau_factor": 5.0, "threshold": 1.0, "reset_value": 0.0},
-    "train": {"learning_rate": 2e-3, "max_epochs": 100, "batch_length": 100,
-              "surrogate_width": 1.0, "optimizer": "adam"},
+    "train": asdict(TrainConfig()),
     "finetune": {},  # overrides applied to "train" during pruning
-    "prune": {"p_start": 10.0, "patience": 5, "tolerance": 0.1, "p_min": 0.1,
-              "pruned_max": 0.95, "scope": "per-layer", "mode": "full-adaptive"},
-    "energy": {"e_ac_pj": 12.7, "e_update_pj": 14.6, "dt_ms": 4.0},
+    "prune": asdict(PruneHyperParams()),
+    # eval reports both update-count modes
+    "energy": {k: v for k, v in asdict(EnergyParams()).items() if k != "update_count_mode"},
     "synth": {"channels": 32, "timesteps": 20000, "rate": 0.2,
               "mixing_density": 0.25, "label_tau_steps": 5.0,
               "session_id": "synthetic", "dt_ms": 4.0},
@@ -69,15 +73,17 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 # Every key a config may set, with a value of the type it must have: the
-# defaults, plus "finetune" taking train's keys and the optional "lif.tau"
-_SCHEMA = _merge(DEFAULT_CONFIG, {"finetune": DEFAULT_CONFIG["train"], "lif": {"tau": 20.0}})
+# defaults, plus "finetune" taking train's keys but max_epochs (the pruning
+# controller decides how long it fine-tunes)
+_SCHEMA = _merge(DEFAULT_CONFIG, {"finetune": {
+    k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "max_epochs"}})
 
 
 def _check_schema(value, schema, path: str) -> None:
     """Raise ConfigError naming the path of the first key or type not in schema.
 
-    An int is needed where the schema has an int, an int or float where it
-    has a float, and a bool is never a number.
+    An int is needed where the schema has an int, a finite int or float
+    where it has a float, and a bool is never a number.
     """
     if isinstance(schema, dict):
         if not isinstance(value, dict):
@@ -93,9 +99,13 @@ def _check_schema(value, schema, path: str) -> None:
         for i, v in enumerate(value):
             _check_schema(v, schema[0], f"{path}[{i}]")
     else:
-        kind = (int, float) if isinstance(schema, float) else type(schema)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            name = "a number" if isinstance(schema, float) else f"of type {type(schema).__name__}"
+        number = isinstance(schema, float)
+        kind = (int, float) if number else type(schema)
+        # NaN fails every comparison, and an int too large for a float
+        # compares exactly, so this also rejects NaN, +-Infinity and 1e999
+        if isinstance(value, bool) or not isinstance(value, kind) or \
+                (number and not abs(value) <= sys.float_info.max):
+            name = "a finite number" if number else f"of type {type(schema).__name__}"
             raise ConfigError(f"{path} must be {name}, got {value!r}")
 
 
@@ -121,32 +131,9 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _train_config(cfg: dict, finetune: bool = False) -> TrainConfig:
-    t = cfg["train"]
-    if finetune:
-        t = _merge(t, cfg["finetune"])
-    return TrainConfig(learning_rate=t["learning_rate"], max_epochs=t["max_epochs"],
-                       batch_length=t["batch_length"],
-                       surrogate_width=t["surrogate_width"],
-                       optimizer=t["optimizer"])
-
-
-def _prune_params(cfg: dict, mode=None, scope=None) -> PruneHyperParams:
-    p = dict(cfg["prune"])
-    if mode:
-        p["mode"] = mode
-    if scope:
-        p["scope"] = scope
-    return PruneHyperParams(p_start=p["p_start"], patience=p["patience"],
-                            tolerance=p["tolerance"], p_min=p["p_min"],
-                            pruned_max=p["pruned_max"], scope=p["scope"],
-                            mode=p["mode"])
-
-
 def _network_config(cfg: dict, channels: int, dt_ms: float) -> NetworkConfig:
     lif_cfg = cfg["lif"]
-    tau = lif_cfg.get("tau", lif_cfg["tau_factor"] * dt_ms)
-    lif = LifParams(tau=tau, threshold=lif_cfg["threshold"],
+    lif = LifParams(tau=lif_cfg["tau_factor"] * dt_ms, threshold=lif_cfg["threshold"],
                     reset_value=lif_cfg["reset_value"], dt=dt_ms)
     return NetworkConfig.snn3(channels, hidden=tuple(cfg["network"]["hidden"]),
                               lif=lif, seed=cfg["seed"])
@@ -208,7 +195,7 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     digest = config_digest(cfg)
     session, split = _load_split(cfg)
     net_config = _network_config(cfg, session.channels, session.dt_ms)
-    tc = _train_config(cfg)
+    tc = TrainConfig(**cfg["train"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvTraceSink(out_dir / "pretrain_trace.csv", digest)
 
@@ -227,12 +214,12 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_prune(cfg: dict, out_dir: Path, checkpoint_path, mode=None, scope=None) -> int:
+def cmd_prune(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     digest = config_digest(cfg)
     net, meta = ckpt.load_checkpoint(checkpoint_path)
     session, split = _load_split(cfg, net)
-    hp = _prune_params(cfg, mode=mode, scope=scope)
-    tc = _train_config(cfg, finetune=True)
+    hp = PruneHyperParams(**cfg["prune"])
+    tc = TrainConfig(**_merge(cfg["train"], cfg["finetune"]))
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvTraceSink(out_dir / "prune_trace.csv", digest)
     pruned_net, trace = adaptive_prune(net, split, hp, tc, trace_sink=sink)
@@ -256,12 +243,10 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     net, meta = ckpt.load_checkpoint(checkpoint_path)
     session, split = _load_split(cfg, net)
     report = evaluate_segments(net, split["test"])
-    e = cfg["energy"]
     n_neurons = sum(net.config.layer_dims[1:])
     energies = {}
     for mode in (PAPER_CONSISTENT, PER_NEURON):
-        params = EnergyParams(e_ac_pj=e["e_ac_pj"], e_update_pj=e["e_update_pj"],
-                              dt_ms=e["dt_ms"], update_count_mode=mode)
+        params = EnergyParams(**cfg["energy"], update_count_mode=mode)
         energies[mode] = energy_report(report.effective_ops, n_neurons, params).as_dict()
 
     payload = {
@@ -318,8 +303,9 @@ def main(argv=None) -> int:
         if args.command == "pretrain":
             return cmd_pretrain(cfg, out_dir)
         if args.command == "prune":
-            return cmd_prune(cfg, out_dir, args.checkpoint,
-                             mode=args.mode, scope=args.scope)
+            flags = {"mode": args.mode, "scope": args.scope}
+            cfg = _merge(cfg, {"prune": {k: v for k, v in flags.items() if v}})
+            return cmd_prune(cfg, out_dir, args.checkpoint)
         return cmd_eval(cfg, out_dir, args.checkpoint)
     except (ConfigError, ValueError) as e:
         if isinstance(e, (dataio.SessionFormatError, ckpt.CheckpointError,

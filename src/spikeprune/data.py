@@ -39,6 +39,9 @@ MAGIC = b"SPKSES1\n"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IIQdI")
 
+# train, val, test share of each sub-session; test also takes the leftovers
+SPLIT_FRACTIONS = (0.5, 0.25, 0.25)
+
 
 class SessionFormatError(ValueError):
     """Base class for session file problems."""
@@ -113,13 +116,10 @@ class SpikeSession:
 @dataclass(frozen=True)
 class SplitSpec:
     n_subsessions: int = 4
-    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
 
     def __post_init__(self):
         if self.n_subsessions < 1:
             raise ValueError("n_subsessions must be >= 1")
-        if abs(sum(self.fractions) - 1.0) > 1e-12:
-            raise ValueError("train/val/test fractions must sum to 1")
 
 
 def save_session(path, session: SpikeSession) -> None:
@@ -191,8 +191,8 @@ def split_session(session: SpikeSession, spec: SplitSpec = SplitSpec()) -> dict:
     for i in range(n):
         lo, hi = bounds[i], bounds[i + 1]
         length = hi - lo
-        n_train = int(spec.fractions[0] * length)
-        n_val = int(spec.fractions[1] * length)
+        n_train = int(SPLIT_FRACTIONS[0] * length)
+        n_val = int(SPLIT_FRACTIONS[1] * length)
         cuts = [
             ("train", lo, lo + n_train),
             ("val", lo + n_train, lo + n_train + n_val),

@@ -24,7 +24,6 @@ __all__ = [
     "activation_sparsity",
     "effective_ops",
     "evaluate_segments",
-    "evaluate_network",
 ]
 
 
@@ -122,19 +121,13 @@ def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
 
 
 def evaluate_segments(net: Network, segments) -> MetricsReport:
-    """Forward every segment (state reset at each) and pool the metrics."""
+    """Forward every segment (state reset at each) and pool the four metrics."""
     segments = list(segments)
     record = _forward_sequences(net, [seg.spikes for seg in segments])
     truth = np.concatenate([seg.velocity for seg in segments])
-    return evaluate_network(net, record.output_membrane, truth, record)
-
-
-def evaluate_network(net: Network, pred: np.ndarray, truth: np.ndarray,
-                     record: ActivationRecord) -> MetricsReport:
-    """Bundle all four metrics for one prediction run."""
     acs, kind = effective_ops(record, net, kind="AC")
     return MetricsReport(
-        r2=r_squared(pred, truth),
+        r2=r_squared(record.output_membrane, truth),
         connection_sparsity=connection_sparsity(net),
         connection_sparsity_prunable=connection_sparsity(net, prunable_only=True),
         activation_sparsity=activation_sparsity(record),

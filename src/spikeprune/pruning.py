@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import Network, WeightLayer
-from .training import TrainConfig, TrainingDivergedError, make_optimizer, train_epoch, validate
+from .training import AdamOptimizer, TrainConfig, TrainingDivergedError, train_epoch, validate
 
 __all__ = [
     "PruneHyperParams",
@@ -271,7 +271,7 @@ class EngineTrainer:
     def __init__(self, split: dict, cfg: TrainConfig):
         self.split = split
         self.cfg = cfg
-        self.optimizer = make_optimizer(cfg)
+        self.optimizer = AdamOptimizer(cfg.learning_rate)
 
     def train_epoch(self, net: Network) -> float:
         return train_epoch(net, self.split["train"], self.cfg, self.optimizer)

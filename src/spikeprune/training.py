@@ -6,7 +6,7 @@ assignment is detached so no gradient flows through it. A test-only
 "differentiable" mode replaces the forward step with a sigmoid of
 (u - threshold)/width and differentiates the *whole* graph (reset included),
 which makes analytic gradients directly checkable against finite
-differences.
+differences. Training itself always runs the spiking forward step, with Adam.
 
 The loss is mean squared error between the output membranes and the velocity
 labels at every labeled timestep. Gradients are accumulated over truncated
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (DIFFERENTIABLE, SPIKING, LifParams, Network, NetworkConfig,
-                      _forward_sequences, forward_window)
+from .network import (SPIKING, LifParams, Network, NetworkConfig, _forward_sequences,
+                      forward_window)
 
 __all__ = [
     "TrainConfig",
@@ -31,9 +31,7 @@ __all__ = [
     "surrogate_spike_grad",
     "mse_loss",
     "compute_gradients",
-    "SgdOptimizer",
     "AdamOptimizer",
-    "make_optimizer",
     "train_epoch",
     "validate",
     "pretrain",
@@ -49,8 +47,6 @@ class TrainConfig:
     max_epochs: int = 100
     batch_length: int = 100
     surrogate_width: float = 1.0
-    optimizer: str = "adam"
-    spike_mode: str = SPIKING  # DIFFERENTIABLE is test-only
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
@@ -61,10 +57,6 @@ class TrainConfig:
             raise ValueError("batch_length must be >= 1")
         if not self.surrogate_width > 0:
             raise ValueError("surrogate_width must be > 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.spike_mode not in (SPIKING, DIFFERENTIABLE):
-            raise ValueError(f"unknown spike_mode {self.spike_mode!r}")
 
 
 def surrogate_spike_grad(u, params: LifParams, width: float):
@@ -161,18 +153,6 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     return loss, grads, [s[0] for s in final_state]
 
 
-class SgdOptimizer:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, net: Network, grads) -> None:
-        for layer, g in zip(net.layers, grads):
-            layer.weights -= self.lr * g
-
-    def reset(self) -> None:
-        pass
-
-
 class AdamOptimizer:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -200,12 +180,6 @@ class AdamOptimizer:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             layer.weights -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-
-def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return SgdOptimizer(cfg.learning_rate)
-    return AdamOptimizer(cfg.learning_rate)
 
 
 def _length_groups(segments):
@@ -242,9 +216,9 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
             acts, membranes, state = forward_window(net, x[lo:hi], state,
-                                                    cfg.spike_mode, cfg.surrogate_width)
+                                                    SPIKING, cfg.surrogate_width)
             grads = _backward_window(net, acts, membranes, y[lo:hi],
-                                     cfg.spike_mode, cfg.surrogate_width)
+                                     SPIKING, cfg.surrogate_width)
             total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
             total_n += acts[-1].size
             optimizer.step(net, grads)
@@ -274,7 +248,7 @@ def pretrain(config: NetworkConfig, split: dict, cfg: TrainConfig,
     goes non-finite.
     """
     net = Network.from_config(config, init_scale=init_scale)
-    optimizer = make_optimizer(cfg)
+    optimizer = AdamOptimizer(cfg.learning_rate)
     val_loss = validate(net, split["val"])
     for epoch in range(cfg.max_epochs):
         train_loss = train_epoch(net, split["train"], cfg, optimizer)

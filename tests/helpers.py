@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spikeprune.network import Network, NetworkConfig
+from spikeprune.network import DIFFERENTIABLE, Network, NetworkConfig
 from spikeprune.pruning import PER_LAYER
 from spikeprune.pruning import prunable_zero_fraction
-from spikeprune.training import DIFFERENTIABLE, compute_gradients
+from spikeprune.training import compute_gradients
 
 
 def indy_net(seed=0):

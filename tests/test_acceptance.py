@@ -34,6 +34,7 @@ from spikeprune.metrics import (
     r_squared,
 )
 from spikeprune.network import (
+    DIFFERENTIABLE,
     LifParams,
     Network,
     NetworkConfig,
@@ -47,7 +48,7 @@ from spikeprune.pruning import (
     adaptive_prune,
     prunable_zero_fraction,
 )
-from spikeprune.training import DIFFERENTIABLE, TrainConfig, compute_gradients, pretrain
+from spikeprune.training import TrainConfig, compute_gradients, pretrain
 
 HALVING_SEQUENCE = [10.0, 5.0, 2.5, 1.25, 0.625, 0.3125, 0.15625]
 
@@ -195,10 +196,8 @@ def pipeline():
     split = split_session(session)
     net_config = NetworkConfig.snn3(32, hidden=(50, 50, 50),
                                     lif=LifParams(tau=20.0, dt=4.0), seed=7)
-    pretrain_cfg = TrainConfig(learning_rate=2e-3, max_epochs=150,
-                               batch_length=25, optimizer="adam")
-    finetune_cfg = TrainConfig(learning_rate=5e-3, max_epochs=0,
-                               batch_length=25, optimizer="adam")
+    pretrain_cfg = TrainConfig(learning_rate=2e-3, max_epochs=150, batch_length=25)
+    finetune_cfg = TrainConfig(learning_rate=5e-3, max_epochs=0, batch_length=25)
 
     dense, target_loss = pretrain(net_config, split, pretrain_cfg)
     dense_val = evaluate_segments(dense, split["val"])

@@ -73,6 +73,11 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("train", "max_epochs", "2"),  # a string where an int belongs
         ("prune", "tolerence", 0.5),  # a misspelt key
+        # keys that are gone: Adam is the only optimizer, the controller
+        # decides how long it fine-tunes, and tau is tau_factor * dt
+        ("train", "optimizer", "adam"),
+        ("finetune", "max_epochs", 5),
+        ("lif", "tau", 20.0),
     ])
     def test_schema_names_the_bad_path(self, tmp_path, capsys, section, key, value):
         p, _ = write_config(tmp_path, **{section: {key: value}})
@@ -80,17 +85,17 @@ class TestConfig:
         assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_schema_accepts_every_number_form_it_allows(self, tmp_path):
-        p, _ = write_config(tmp_path, lif={"tau": 20}, finetune={"learning_rate": 1},
+        p, _ = write_config(tmp_path, lif={"tau_factor": 5}, finetune={"learning_rate": 1},
                             network={"hidden": []})
         cfg = load_config(p)
-        assert cfg["lif"]["tau"] == 20 and cfg["finetune"] == {"learning_rate": 1}
+        assert cfg["lif"]["tau_factor"] == 5 and cfg["finetune"] == {"learning_rate": 1}
 
     def test_seeded_wrong_types_and_misspelt_keys_exit_2(self, tmp_path, capsys):
-        """Every key of the defaults (finetune takes train's keys, plus the
-        optional lif.tau), given once a value of the wrong type and once
-        under a misspelt name."""
-        schema = dict(DEFAULT_CONFIG, finetune=DEFAULT_CONFIG["train"],
-                      lif=dict(DEFAULT_CONFIG["lif"], tau=20.0))
+        """Every key of the defaults (finetune takes train's keys but
+        max_epochs), given once a value of the wrong type and once under a
+        misspelt name."""
+        finetune = {k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "max_epochs"}
+        schema = dict(DEFAULT_CONFIG, finetune=finetune)
         paths = [(k,) for k in schema]
         paths += [(k, sub) for k, v in schema.items() if isinstance(v, dict) for sub in v]
         rng = np.random.default_rng(7)
@@ -117,7 +122,32 @@ class TestConfig:
                 err = capsys.readouterr().err
                 assert err.startswith("config error:") and "Traceback" not in err
                 cases += 1
-        assert cases == 2 * len(paths) > 80
+        assert cases == 2 * len(paths) == 80
+
+    @pytest.mark.parametrize("command, section, key, literal", [
+        ("prune", "prune", "tolerance", "NaN"),  # would prune straight to the cap
+        ("prune", "prune", "p_start", "Infinity"),  # would overflow in prune_step
+        ("eval", "energy", "e_ac_pj", "NaN"),  # would write a bare NaN to metrics.json
+        ("pretrain", "lif", "threshold", "NaN"),  # would pretrain with exit 0
+        ("pretrain", "train", "learning_rate", "1e999"),  # parses as inf
+        ("eval", "energy", "dt_ms", "1" + "0" * 400),  # an int beyond any float
+    ], ids=["tolerance-NaN", "p_start-Infinity", "e_ac_pj-NaN", "threshold-NaN",
+            "learning_rate-1e999", "dt_ms-10**400"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, section, key, literal):
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        dense = tmp_path / "dense.ckpt"
+        save_checkpoint(dense, Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6))))
+        p, _ = write_config(tmp_path, out_dir=str(tmp_path / "bad"), **{section: {key: "@"}})
+        p.write_text(p.read_text().replace('"@"', literal))
+        argv = [command, "--config", str(p)]
+        if command != "pretrain":
+            argv += ["--checkpoint", str(dense)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}.{key} must be a finite number")
+        assert not (tmp_path / "bad").exists()
 
 
 class TestSynth:
@@ -215,6 +245,18 @@ class TestPipelineCommands:
         assert kinds.count("epoch") == 3 * 1
         assert kinds.count("terminated") == 1
         assert len(body) == 3 + 3 + 1
+
+    def test_prune_flags_enter_the_digest(self, prepared):
+        p, tmp = prepared
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        plain = config_digest(load_config(p))
+        assert main(["prune", "--config", str(p), "--checkpoint", str(tmp / "out" / "dense.ckpt"),
+                     "--mode", "fixed", "--scope", "global"]) == EXIT_OK
+        _, meta = load_checkpoint(tmp / "out" / "pruned.ckpt")
+        flagged, _ = write_config(tmp, prune={"mode": "fixed", "scope": "global"})
+        assert meta["config_digest"] == config_digest(load_config(flagged)) != plain
+        trace = (tmp / "out" / "prune_trace.csv").read_text().splitlines()
+        assert trace[0] == f"# config_digest={meta['config_digest']}"
 
     def test_prune_rerun_reproduces_trace(self, prepared):
         p, tmp = prepared

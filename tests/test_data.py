@@ -195,9 +195,9 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_session(sample_session(T=3))
 
-    def test_fraction_validation(self):
+    def test_subsession_count_validation(self):
         with pytest.raises(ValueError):
-            SplitSpec(fractions=(0.5, 0.5, 0.5))
+            SplitSpec(n_subsessions=0)
 
 
 def _find_offset(session, seg):

@@ -8,16 +8,13 @@ from helpers import (
     scalar_surrogate_grads,
 )
 
-from spikeprune.data import generate_synthetic, split_session
-from spikeprune.network import LifParams, Network, NetworkConfig, network_forward
+from spikeprune.data import SpikeSession, generate_synthetic, split_session
+from spikeprune.network import DIFFERENTIABLE, LifParams, Network, NetworkConfig, network_forward
 from spikeprune.training import (
-    DIFFERENTIABLE,
     AdamOptimizer,
-    SgdOptimizer,
     TrainConfig,
     TrainingDivergedError,
     compute_gradients,
-    make_optimizer,
     mse_loss,
     pretrain,
     surrogate_spike_grad,
@@ -33,6 +30,26 @@ def random_tiny_net(rng, max_width=3, init_scale=1.5):
     cfg = NetworkConfig.snn3(cin, hidden=dims_h, lif=lif,
                              seed=int(rng.integers(1 << 30)))
     return Network.from_config(cfg, init_scale=init_scale)
+
+
+class RecordingOptimizer:
+    """Stores the gradients of each step and leaves the weights alone."""
+
+    def __init__(self):
+        self.grads = []
+
+    def step(self, net, grads):
+        self.grads.append([g.copy() for g in grads])
+
+
+def scalar_final_state(net, spikes, state):
+    """The post-reset membranes `scalar_reference_trace` ends a window with."""
+    acts, membranes = scalar_reference_trace(net, spikes, state)
+    reset = net.config.lif.reset_value
+    final = [np.array(m[-1]) for m in membranes]
+    for i in range(len(final) - 1):  # hidden layers reset where they spiked
+        final[i] = np.where(np.array(acts[i + 1][-1]) > 0, reset, final[i])
+    return final
 
 
 class TestSurrogate:
@@ -112,8 +129,8 @@ class TestTrainEpoch:
         cfg = NetworkConfig.snn3(5, hidden=(6, 6, 6), seed=3)
         net = Network.from_config(cfg)
         before = [l.weights.copy() for l in net.layers]
-        tc = TrainConfig(learning_rate=0.0, batch_length=10_000, optimizer="sgd")
-        loss = train_epoch(net, split["train"], tc, SgdOptimizer(0.0))
+        tc = TrainConfig(learning_rate=0.0, batch_length=10_000)
+        loss = train_epoch(net, split["train"], tc, AdamOptimizer(tc.learning_rate))
         for layer, w in zip(net.layers, before):
             assert np.array_equal(layer.weights, w)
         assert loss == validate(net, split["train"])
@@ -126,28 +143,46 @@ class TestTrainEpoch:
         for layer in net.prunable_layers():
             layer.mask = (rng.random(layer.mask.shape) > 0.5).astype(np.uint8)
             layer.apply_mask()
-        tc = TrainConfig(learning_rate=5e-3, batch_length=10, optimizer="adam")
-        opt = make_optimizer(tc)
+        tc = TrainConfig(learning_rate=5e-3, batch_length=10)
+        opt = AdamOptimizer(tc.learning_rate)
         for _ in range(3):
             train_epoch(net, split["train"], tc, opt)
             for layer in net.layers:
                 assert not layer.weights[layer.mask == 0].any()
 
-    def test_sgd_update_equals_lr_times_fd_gradient(self):
+    def test_pooled_window_gradients_match_scalar_surrogate(self):
+        # two equal-length segments share each window's step, and their
+        # membranes carry from one window to the next: each step's gradient is
+        # the mean of the segments' scalar surrogate-BPTT gradients
         rng = np.random.default_rng(5)
-        net = random_tiny_net(rng, max_width=3)
-        x = (rng.random((5, net.input_dim)) < 0.5).astype(float)
-        y = rng.normal(size=(5, 2))
-        from spikeprune.data import SpikeSession
-        seg = SpikeSession(spikes=x.astype(np.uint8), velocity=y, dt_ms=1.0)
-        numeric = finite_difference_grads(net, x, y)
-        before = [l.weights.copy() for l in net.layers]
-        lr = 1e-3
-        tc = TrainConfig(learning_rate=lr, batch_length=10_000, optimizer="sgd",
-                         spike_mode=DIFFERENTIABLE)
-        train_epoch(net, [seg], tc, SgdOptimizer(lr))
-        implied = [(b - l.weights) / lr for b, l in zip(before, net.layers)]
-        assert_grads_close(implied, numeric)
+        cfg = NetworkConfig.snn3(6, hidden=(5, 4, 5), seed=5, lif=LifParams(tau=4.0))
+        net = Network.from_config(cfg, init_scale=2.5)
+        T, window = 24, 10
+        segs = [SpikeSession(spikes=(rng.random((T, 6)) < 0.5).astype(np.uint8),
+                             velocity=rng.normal(size=(T, 2)), dt_ms=1.0)
+                for _ in range(2)]
+        opt = RecordingOptimizer()
+        loss = train_epoch(net, segs, TrainConfig(batch_length=window), opt)
+        assert len(opt.grads) == 3  # windows of 10, 10 and 4 steps
+        states = [None, None]
+        total_sq = 0.0
+        for grads, lo in zip(opt.grads, range(0, T, window)):
+            refs = []
+            for j, seg in enumerate(segs):
+                x = seg.spikes[lo:lo + window].astype(float)
+                y = seg.velocity[lo:lo + window]
+                seg_loss, seg_grads = scalar_surrogate_grads(net, x, y, state=states[j])
+                if states[j] is not None:
+                    # the carried state matters: a zero start gives other gradients
+                    zero_start = scalar_surrogate_grads(net, x, y)[1]
+                    assert any(not np.allclose(a, b) for a, b in zip(seg_grads, zero_start))
+                refs.append(seg_grads)
+                total_sq += seg_loss * y.size
+                states[j] = scalar_final_state(net, x, states[j])
+            for g, ref_a, ref_b in zip(grads, *refs):
+                assert g.any()
+                np.testing.assert_allclose(g, (ref_a + ref_b) / 2, rtol=1e-12, atol=1e-15)
+        assert loss == pytest.approx(total_sq / (2 * T * 2), rel=1e-12)
 
     def test_loss_does_not_increase_statistically(self):
         good = 0
@@ -159,7 +194,8 @@ class TestTrainEpoch:
             x = (rng.random((40, 6)) < 0.4).astype(float)
             y = rng.normal(size=(40, 2)) * 0.5
             l0, grads, _ = compute_gradients(net, x, y)
-            SgdOptimizer(lr=1e-4).step(net, grads)
+            for layer, g in zip(net.layers, grads):
+                layer.weights -= 1e-4 * g
             l1, _, _ = compute_gradients(net, x, y)
             good += l1 <= l0
             deltas.append(l1 - l0)
@@ -171,7 +207,7 @@ class TestTrainEpoch:
         net = Network.from_config(cfg)
         tc = TrainConfig()
         with pytest.raises(ValueError):
-            train_epoch(net, [], tc, make_optimizer(tc))
+            train_epoch(net, [], tc, AdamOptimizer(tc.learning_rate))
         with pytest.raises(ValueError):
             validate(net, [])
 
@@ -263,8 +299,8 @@ class TestPretrain:
         session = generate_synthetic(seed=1, channels=4, T=160, rate=0.3)
         split = split_session(session)
         cfg = NetworkConfig.snn3(4, hidden=(5, 5, 5), seed=6)
-        tc = TrainConfig(learning_rate=1e30, max_epochs=10, batch_length=20,
-                         optimizer="sgd")
+        # Adam's step is bounded by the learning rate: 1e30 does not diverge
+        tc = TrainConfig(learning_rate=1e200, max_epochs=10, batch_length=20)
         with pytest.raises(TrainingDivergedError):
             with np.errstate(over="ignore", invalid="ignore"):
                 pretrain(cfg, split, tc)
@@ -285,7 +321,3 @@ class TestOptimizers:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_length=0)
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")
-        with pytest.raises(ValueError):
-            TrainConfig(spike_mode="fuzzy")
