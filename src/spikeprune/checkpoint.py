@@ -8,7 +8,8 @@ layer_dims, lif (the one LIF parameter set of every layer), seed and meta
 (free-form metadata). Which layers spike and which are prunable follows from
 layer_dims: all but the readout. Files of format "1", which stored those
 facts per layer, are rejected. Weights and masks round-trip bit-exactly;
-writing the same network twice produces identical bytes.
+writing the same network twice produces identical bytes, and a write that
+fails leaves no partial file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import struct
 
 import numpy as np
 
+from ._files import atomic_write
 from .network import LifParams, Network, NetworkConfig, WeightLayer
 
 __all__ = ["CheckpointError", "CheckpointVersionError", "save_checkpoint",
@@ -54,7 +56,7 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
         "meta": meta or {},
     }
     blob = _header_blob(header)
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)

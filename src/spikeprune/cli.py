@@ -17,6 +17,11 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
 A config that cannot be read, is not UTF-8 JSON, or has a key, a type or a
 non-finite number not allowed by DEFAULT_CONFIG is a config error; any
 other OSError is a data error.
+
+Sessions, checkpoints and eval reports are written to a temp file and then
+moved into place, so a failed write leaves no partial output; the CSV traces
+are appended and flushed per event, so an interrupted run keeps its rows
+(a finished prune trace ends with its "# terminated:" comment).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data as dataio
+from ._files import atomic_write
 from .energy import PAPER_CONSISTENT, PER_NEURON, EnergyParams, energy_report
 from .metrics import DegenerateTruthError, evaluate_segments
 from .network import LifParams, NetworkConfig
@@ -202,8 +208,10 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     def log(epoch, train_loss, val_loss):
         sink(TraceEvent(epoch, "epoch", epoch + 1, train_loss, val_loss, None, 0.0))
 
-    net, target_loss = pretrain(net_config, split, tc, log=log)
-    sink.close()
+    try:
+        net, target_loss = pretrain(net_config, split, tc, log=log)
+    finally:
+        sink.close()
     ckpt_path = out_dir / "dense.ckpt"
     ckpt.save_checkpoint(ckpt_path, net, meta={
         "config_digest": digest, "stage": "pretrain",
@@ -222,10 +230,12 @@ def cmd_prune(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     tc = TrainConfig(**_merge(cfg["train"], cfg["finetune"]))
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvTraceSink(out_dir / "prune_trace.csv", digest)
-    pruned_net, trace = adaptive_prune(net, split, hp, tc, trace_sink=sink)
-    final = trace.events[-1]
-    sink.comment(f"terminated: {final.reason}")
-    sink.close()
+    try:
+        pruned_net, trace = adaptive_prune(net, split, hp, tc, trace_sink=sink)
+        final = trace.events[-1]
+        sink.comment(f"terminated: {final.reason}")
+    finally:
+        sink.close()
     ckpt_path = out_dir / "pruned.ckpt"
     ckpt.save_checkpoint(ckpt_path, pruned_net, meta={
         "config_digest": digest, "stage": "prune",
@@ -257,7 +267,7 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
         "energy": energies,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
+    with atomic_write(out_dir / "metrics.json", "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
     lines = [f"# config_digest={digest}"]
@@ -267,7 +277,7 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
         for k, v in sorted(rep.items()):
             lines.append(f"energy[{mode}].{k} = {v!r}")
     text = "\n".join(lines) + "\n"
-    with open(out_dir / "metrics.txt", "w", encoding="utf-8") as f:
+    with atomic_write(out_dir / "metrics.txt", "w", encoding="utf-8") as f:
         f.write(text)
     print(text, end="")
     return EXIT_OK

@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._files import atomic_write
+
 __all__ = [
     "SessionFormatError",
     "BadMagicError",
@@ -123,10 +125,12 @@ class SplitSpec:
 
 
 def save_session(path, session: SpikeSession) -> None:
-    """Write the portable session format; byte-identical for identical input."""
+    """Write the portable session format; byte-identical for identical input.
+
+    A write that fails leaves no partial file (atomic_write)."""
     session.validate()
     sid = session.session_id.encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(_HEADER.pack(FORMAT_VERSION, session.channels, session.timesteps,
                              session.dt_ms, len(sid)))

@@ -7,26 +7,37 @@ prediction. Per timestep each neuron decays its membrane by exp(-dt/tau),
 integrates the masked weighted sum of presynaptic spikes, and (if spiking)
 fires and resets wherever the membrane reaches the threshold.
 
-One kernel, `forward_window`, runs these dynamics: a window of timesteps
-for B equal-length sequences in lockstep, from a given membrane state.
-Training, validation and eval all call it. It is layer-major: the network is
-feed-forward, so each layer's input current for the whole window is computed
-by GEMM over the finished output of the layer below, against the
-C-contiguous copy of W^T; only the membrane scan runs in time order,
-elementwise. Training pools the B sequences into one [Tw·B x K] GEMM.
+The per-step update lives in one helper, `_lif_scan`: add the decayed
+membrane carried from the step before, compare with the threshold, and
+carry on the decayed membrane, reset (as reset_value·decay, the same bits)
+wherever a neuron fired. It runs in time order, elementwise; every GEMM runs
+outside it, over whole windows.
+
+Training calls `forward_window`: a window of timesteps for B equal-length
+sequences in lockstep, from a given membrane state. It is layer-major: the
+network is feed-forward, so each layer's input current for the whole window
+is one GEMM over the finished output of the layer below, against the
+C-contiguous copy of W^T, pooling the B sequences into [Tw·B] rows; then
+the layer's membranes are scanned.
 
 Eval and validation share one driver, `_forward_sequences`: it groups
 sequences by length and runs each group in batches of up to _EVAL_BATCH
-sequences, in fixed windows of _EVAL_WINDOW timesteps with the state
-carried across, so memory stays bounded on long sessions. There each
-layer's current is one [Tw x K] GEMM per sequence, and only the scans run
-for the whole batch. BLAS picks its GEMM kernel by the shape of the call,
-and different kernels round a row differently in the last bit, so a GEMM
-pooled over a batch could give a sequence other bits than it gets alone.
-The per-sequence GEMMs have the shapes of a B=1 run and the scans are
-elementwise, so a sequence's bits do not depend on B: eval is reproducible
-bit for bit per segment, and the validation loss is the MSE of exactly
-eval's prediction.
+sequences, in fixed windows of _EVAL_WINDOW timesteps with the state carried
+across. Each layer's current is one [Tw x K] GEMM per sequence: BLAS picks
+its GEMM kernel by the shape of the call, and different kernels round a row
+differently in the last bit, so a GEMM pooled over a batch could give a
+sequence other bits than it gets alone. The driver is a wavefront over the
+windows: at stage s, connection layer l runs window s - l, whose input the
+layer below made at stage s - 1. All layers in flight then advance in one
+scan over stage buffers that stack their neurons as columns, [Tw x ΣH x B];
+the readout columns have a NaN threshold, so they never fire and their
+update stays u = I + decay·u. When the lowest layer in flight is on a short
+final window, the scan drops its columns once that window ends. The GEMMs
+have the shapes of a B=1 run and the scan is elementwise, so a sequence's
+bits depend neither on B nor on which layers share its scan: eval is
+reproducible bit for bit per segment, and the validation loss is the MSE of
+exactly eval's prediction. At most n_layers windows are in flight, in
+buffers allocated once per batch, so memory stays bounded on long sessions.
 `network_forward` is the one-sequence case.
 """
 
@@ -50,9 +61,9 @@ __all__ = [
 SPIKING = "spiking"
 DIFFERENTIABLE = "differentiable"
 
-# Timesteps per kernel call in eval and validation. It bounds their memory:
-# each call holds a few [window x B x H] float64 arrays per layer, however
-# long the sequences are.
+# Timesteps per window in eval and validation. It bounds their memory: a
+# batch holds one window of every layer in flight, however long the
+# sequences are.
 _EVAL_WINDOW = 1000
 # Most equal-length sequences eval and validation run together. At 96 input
 # channels a batch of 8 raised the eval peak RSS by 26 MB and ran no faster
@@ -253,8 +264,30 @@ def _sigmoid(x):
     return out
 
 
+def _lif_scan(u, fired, d, threshold, decay: float, reset_decayed: float) -> None:
+    """Advance membranes through u's time steps, in place: the LIF update.
+
+    u is [Tw x ...]: u[t] holds step t's input current and becomes its
+    pre-reset membrane u[t] + d, where d holds the decayed membranes carried
+    from the step before. fired[t] gets u[t] >= threshold, and d becomes
+    u[t]·decay, or reset_decayed = reset_value·decay wherever a neuron
+    fired: the bits of decaying the reset membrane. fired None marks
+    readout-only columns, which never fire and skip the compare and reset.
+    """
+    if fired is None:
+        for ut in u:
+            ut += d
+            np.multiply(ut, decay, out=d)
+        return
+    for ut, ft in zip(u, fired):
+        ut += d
+        np.greater_equal(ut, threshold, out=ft)
+        np.multiply(ut, decay, out=d)
+        np.putmask(d, ft, reset_decayed)
+
+
 def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                   mode: str = SPIKING, width: float = 1.0, _per_sequence: bool = False):
+                   mode: str = SPIKING, width: float = 1.0):
     """Run one window of B sequences; returns (acts, membranes, final_state).
 
     x is [Tw x B x input_dim] float64: B independent equal-length sequences
@@ -266,11 +299,9 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     (test-only) replaces the spike step with sigmoid((u - threshold)/width).
 
     Layer-major: each layer's input current for the whole window is one GEMM
-    over the layer below's finished output, written straight into the
-    membrane record; then an elementwise scan runs u = I + v * decay in time
-    order and fires and resets in place. The GEMM pools the B sequences into
-    [Tw·B] rows; _per_sequence (eval and validation) makes one [Tw x K]
-    product per sequence instead.
+    over the layer below's finished output, pooling the B sequences into
+    [Tw·B] rows and written straight into the membrane record; then
+    _lif_scan runs the membrane update in time order, in place.
     """
     dims = net.config.layer_dims
     if x.ndim != 3 or x.shape[2] != dims[0]:
@@ -289,25 +320,14 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
         # C-contiguous W^T: BLAS takes another kernel for the transposed view,
         # which rounds the current differently in the last bit
         w_t = layer.effective().T.copy()
-        if _per_sequence:
-            # one [Tw x K] GEMM per sequence: the shapes of a B=1 call
-            u = np.empty((Tw, B, dims[i + 1]))
-            np.matmul(a.transpose(1, 0, 2), w_t, out=u.transpose(1, 0, 2))
-        else:
-            u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
+        u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
         v = state[i]
-        if i == readout:
-            for ut in u:
-                ut += v * decay
-                v = ut
-            out = u
-        elif mode == SPIKING:
-            fired = np.empty(u.shape, dtype=bool)
-            for ut, ft in zip(u, fired):
-                ut += v * decay
-                np.greater_equal(ut, p.threshold, out=ft)
-                v = np.where(ft, p.reset_value, ut)
-            out = fired.astype(np.float64)
+        if i == readout or mode == SPIKING:
+            fired = None if i == readout else np.empty(u.shape, dtype=bool)
+            _lif_scan(u, fired, v * decay, p.threshold, decay, p.reset_value * decay)
+            out = u if fired is None else fired.astype(np.float64)
+            if Tw:
+                v = u[-1] if fired is None else np.where(fired[-1], p.reset_value, u[-1])
         else:
             out = np.empty_like(u)
             for ut, st in zip(u, out):
@@ -327,10 +347,9 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
     sequences are time-major [T x input_dim] arrays. The record holds them
     end to end in the given order, so its output_membrane is the prediction
     of every sequence concatenated. Equal-length sequences advance together,
-    up to _EVAL_BATCH at a time, through forward_window with per-sequence
-    GEMMs, in windows of _EVAL_WINDOW timesteps with the state carried
-    across; a sequence's bits do not depend on which others share its batch
-    (module docstring).
+    up to _EVAL_BATCH at a time, in windows of _EVAL_WINDOW timesteps as a
+    wavefront over the layers (module docstring); a sequence's bits do not
+    depend on which others share its batch.
     """
     dims = net.config.layer_dims
     sequences = [np.asarray(s) for s in sequences]
@@ -348,25 +367,77 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
     groups: dict[int, list[int]] = {}
     for k, s in enumerate(sequences):
         record.input_spikes[starts[k]:starts[k + 1]] = s != 0
-        groups.setdefault(s.shape[0], []).append(k)
-    batches = [g[c:c + _EVAL_BATCH] for g in groups.values()
-               for c in range(0, len(g), _EVAL_BATCH)]
-    for members in batches:
-        T = sequences[members[0]].shape[0]
-        state = [np.zeros((len(members), d)) for d in dims[1:]]
-        for lo in range(0, T, _EVAL_WINDOW):
-            hi = min(lo + _EVAL_WINDOW, T)
-            # cast one window at a time: a whole batch as float64 is 8x its spikes
-            x = np.empty((hi - lo, len(members), dims[0]))
-            for b, k in enumerate(members):
-                x[:, b] = sequences[k][lo:hi]
-            acts, _, state = forward_window(net, x, state, _per_sequence=True)
-            for b, k in enumerate(members):
-                rows = slice(starts[k] + lo, starts[k] + hi)
-                for h, a in zip(record.hidden_spikes, acts[1:-1]):
-                    h[rows] = a[:, b]
-                record.output_membrane[rows] = acts[-1][:, b]
+        if s.shape[0]:
+            groups.setdefault(s.shape[0], []).append(k)
+    # C-contiguous W^T, as in forward_window
+    w_t = [layer.effective().T.copy() for layer in net.layers]
+    for group in groups.values():
+        for c in range(0, len(group), _EVAL_BATCH):
+            members = group[c:c + _EVAL_BATCH]
+            _wavefront(net, w_t, [sequences[k] for k in members],
+                       [starts[k] for k in members], record)
     return record
+
+
+def _wavefront(net: Network, w_t, xs, starts, record: ActivationRecord) -> None:
+    """Run B equal-length sequences, writing their rows of record from starts.
+
+    At stage s connection layer l runs window s - l, so the lowest layer in
+    flight runs the latest window, the only one that can be short. Each
+    layer's current is one [n x K] GEMM per sequence, the shapes of a B=1
+    run; then one _lif_scan advances every layer in flight.
+    """
+    dims = net.config.layer_dims
+    n_layers = net.config.n_layers
+    p = net.config.lif
+    T, B = xs[0].shape[0], len(xs)
+    Tw = min(T, _EVAL_WINDOW)
+    n_windows = -(-T // Tw)
+    # layer l's neurons are the columns off[l]:off[l + 1] of the stage buffers
+    off = np.cumsum([0, *dims[1:]]).tolist()
+    readout = off[-2]
+    u = np.empty((Tw, off[-1], B))
+    fired = np.empty((Tw, off[-1], B), dtype=bool)
+    spikes = fired.view(np.uint8)  # numpy casts uint8 to float64 faster than bool
+    d = np.zeros((off[-1], B))  # decayed membranes, carried from window to window
+    threshold = np.full((off[-1], B), p.threshold)
+    threshold[readout:] = np.nan  # the readout never fires
+    inputs = np.empty((Tw, B, max(dims[:-1])))  # a layer's input spikes as float64
+    current = np.empty((Tw, B, max(dims[1:])))
+
+    def scan(rows, c0, c1):
+        cols = slice(c0, c1)
+        _lif_scan(u[rows, cols], None if c0 >= readout else fired[rows, cols],
+                  d[cols], threshold[cols], p.decay, p.reset_value * p.decay)
+
+    for stage in range(n_windows + n_layers - 1):
+        first = max(0, stage - n_windows + 1)
+        last = min(n_layers - 1, stage)
+        spans = []
+        for l in range(first, last + 1):
+            lo = (stage - l) * Tw
+            n = min(Tw, T - lo)
+            spans.append((l, lo, n))
+            a = inputs[:n, :, :dims[l]]
+            if l == 0:
+                for b, x in enumerate(xs):
+                    a[:, b] = x[lo:lo + n]
+            else:
+                # the spikes layer l - 1 made for this window last stage
+                np.copyto(a.transpose(0, 2, 1), spikes[:n, off[l - 1]:off[l]])
+            g = current[:n, :, :dims[l + 1]]
+            np.matmul(a.transpose(1, 0, 2), w_t[l], out=g.transpose(1, 0, 2))
+            np.copyto(u[:n, off[l]:off[l + 1]], g.transpose(0, 2, 1))
+        # once the lowest layer's short window ends, the layers above run on
+        n_first = spans[0][2]
+        scan(slice(0, n_first), off[first], off[last + 1])
+        if n_first < Tw and first < last:
+            scan(slice(n_first, Tw), off[first + 1], off[last + 1])
+        for l, lo, n in spans:
+            src = u if l == n_layers - 1 else spikes
+            dst = record.output_membrane if l == n_layers - 1 else record.hidden_spikes[l]
+            for b, k0 in enumerate(starts):
+                dst[k0 + lo:k0 + lo + n] = src[:n, off[l]:off[l + 1], b]
 
 
 def network_forward(net: Network, spikes: np.ndarray):
@@ -374,8 +445,9 @@ def network_forward(net: Network, spikes: np.ndarray):
 
     spikes is time-major [T x input_dim] binary. Returns the [T x 2] velocity
     prediction and an ActivationRecord of every spike and output membrane.
-    This is the one-sequence case of _forward_sequences: forward_window at
-    B=1 over consecutive windows of _EVAL_WINDOW timesteps.
+    This is the one-sequence case of _forward_sequences, with the bits of
+    forward_window at B=1 over consecutive windows of _EVAL_WINDOW
+    timesteps, the state carried across.
     """
     record = _forward_sequences(net, [spikes])
     return record.output_membrane, record

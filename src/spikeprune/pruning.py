@@ -86,6 +86,9 @@ class PruneHyperParams:
     def __post_init__(self):
         if not (self.p_start >= self.p_min > 0):
             raise ValueError("need p_start >= p_min > 0")
+        if self.p_start > 100:
+            raise ValueError(
+                f"p_start must be at most 100 percentage points, got {self.p_start!r}")
         if not (0 < self.pruned_max < 1):
             raise ValueError("pruned_max must be in (0,1)")
         if self.tolerance < 0:

@@ -243,13 +243,14 @@ def pretrain(config: NetworkConfig, split: dict, cfg: TrainConfig,
              log=None, init_scale: float = 1.0):
     """Train a fresh dense network; returns (net, target_loss).
 
-    target_loss is the final validation loss, frozen as the reference the
-    pruning controller must hold. Raises TrainingDivergedError if the loss
-    goes non-finite.
+    target_loss is the final validation loss (that of the untrained network
+    when max_epochs is 0), frozen as the reference the pruning controller
+    must hold. Raises TrainingDivergedError if the loss goes non-finite.
     """
     net = Network.from_config(config, init_scale=init_scale)
+    if cfg.max_epochs == 0:
+        return net, validate(net, split["val"])
     optimizer = AdamOptimizer(cfg.learning_rate)
-    val_loss = validate(net, split["val"])
     for epoch in range(cfg.max_epochs):
         train_loss = train_epoch(net, split["train"], cfg, optimizer)
         val_loss = validate(net, split["val"])

@@ -1,13 +1,16 @@
+import errno
 import json
 
 import numpy as np
 import pytest
 
+from spikeprune import _files, cli
 from spikeprune.checkpoint import load_checkpoint, save_checkpoint
 from spikeprune.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     config_digest,
     load_config,
@@ -211,6 +214,18 @@ class TestPipelineCommands:
         net, meta = load_checkpoint(tmp_path / "out" / "dense.ckpt")
         assert meta["epochs"] == 0
 
+    def test_p_start_over_100_exits_2_without_checkpoint(self, prepared, capsys):
+        # p_start is in percentage points; 1e308 overflowed prune_step's count
+        p, tmp = prepared
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        bad, _ = write_config(tmp, out_dir=str(tmp / "bad"), prune={"p_start": 1e308})
+        capsys.readouterr()
+        assert main(["prune", "--config", str(bad), "--checkpoint",
+                     str(tmp / "out" / "dense.ckpt")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "p_start" in err
+        assert not (tmp / "bad").exists()
+
     @pytest.mark.parametrize("section", ["train", "finetune"])
     def test_negative_max_epochs_exits_2_without_checkpoint(self, prepared, capsys, section):
         p, tmp = prepared
@@ -358,3 +373,90 @@ class TestErrorExits:
         for data in [blob[:n] for n in range(len(blob))] + [blob + b"\x00"]:
             bad.write_bytes(data)
             assert main(["eval", "--config", str(p), "--checkpoint", str(bad)]) == EXIT_DATA
+
+
+class _DiskFull:
+    """A file whose first write stores half its data and then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[:len(data) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command,output", [
+        ("synth", "unit.spk"), ("pretrain", "out/dense.ckpt"), ("prune", "out/pruned.ckpt"),
+        ("eval", "out/metrics.json"), ("eval", "out/metrics.txt"),
+    ])
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, monkeypatch, capsys,
+                                                   command, output, existing):
+        p, _ = write_config(tmp_path, train={"max_epochs": 1})
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        dense = tmp_path / "dense.ckpt"
+        (tmp_path / "out" / "dense.ckpt").replace(dense)
+        target = tmp_path / output
+        target.unlink(missing_ok=True)
+        if existing:
+            target.write_bytes(b"earlier output\n")
+        before = sorted(f for f in tmp_path.rglob("*") if f != target)
+
+        def full_disk_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            return _DiskFull(f) if f".{target.name}." in str(path) else f
+
+        monkeypatch.setattr(_files, "open", full_disk_open, raising=False)
+        argv = [command, "--config", str(p)]
+        if command in ("prune", "eval"):
+            argv += ["--checkpoint", str(dense)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        if existing:
+            assert target.read_bytes() == b"earlier output\n"
+        else:
+            assert not target.exists()
+        after = sorted(f for f in tmp_path.rglob("*") if f != target)
+        # no temp file is left; only outputs written before the failure are new
+        assert not [f for f in after if f.name.endswith(".tmp")]
+        assert set(after) - set(before) <= {tmp_path / "out" / n for n in (
+            "pretrain_trace.csv", "prune_trace.csv", "metrics.json")}
+
+    @pytest.mark.parametrize("command", ["pretrain", "prune"])
+    def test_trace_is_closed_when_the_run_fails(self, tmp_path, monkeypatch, command):
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        dense = tmp_path / "dense.ckpt"
+        save_checkpoint(dense, Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6))))
+        closed = []
+        real_close = cli.CsvTraceSink.close
+
+        def close(sink):
+            closed.append(sink.path.name)
+            real_close(sink)
+
+        def diverge(*args, **kwargs):
+            raise cli.TrainingDivergedError("non-finite loss")
+
+        monkeypatch.setattr(cli.CsvTraceSink, "close", close)
+        monkeypatch.setattr(cli, "pretrain" if command == "pretrain" else "adaptive_prune",
+                            diverge)
+        argv = [command, "--config", str(p)]
+        if command == "prune":
+            argv += ["--checkpoint", str(dense)]
+        assert main(argv) == EXIT_DIVERGED
+        assert closed == [f"{command}_trace.csv"]

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import scalar_reference_forward, scalar_reference_trace
 
+import spikeprune.network as network
 from spikeprune.network import (
     _EVAL_WINDOW,
     ActivationRecord,
@@ -282,6 +283,57 @@ class TestWindowing:
                 assert h[:, b].any()
             np.testing.assert_allclose(acts[-1][:, b], np.array(ref[-1]),
                                        rtol=1e-12, atol=0)
+
+
+class TestEvalDriver:
+    """_forward_sequences against B=1 forward_window windows, state carried.
+
+    With a 5-step window and 4 connection layers, lengths 7, 18 and 33 span
+    fewer windows than there are layers, as many, and more, each ending in
+    a short window; the groups hold 1, 4 and 5 sequences, and one sequence
+    is empty. The readout is driven past the threshold with a nonzero reset
+    value, so a readout that fired, or a layer that lost its membranes
+    between windows, would change the bits."""
+
+    def test_matches_windowed_kernel_and_scalar_reference(self, monkeypatch):
+        monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
+        p = LifParams(tau=3.0, threshold=0.9, reset_value=0.3)
+        net = Network.from_config(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=8),
+                                  init_scale=3.0)
+        net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) + 0.5
+        rng = np.random.default_rng(8)
+        lengths = [18, 33, 7, 18, 33, 0, 33, 18, 33, 18, 33]
+        seqs = [(rng.random((T, 3)) < 0.5).astype(np.uint8) for T in lengths]
+        record = network._forward_sequences(net, seqs)
+
+        at = 0
+        for x in seqs:
+            T = len(x)
+            rows = slice(at, at + T)
+            at += T
+            state = [np.zeros((1, d)) for d in net.config.layer_dims[1:]]
+            windows = []
+            for lo in range(0, T, 5):
+                acts, _, state = forward_window(
+                    net, x[lo:lo + 5, None, :].astype(np.float64), state)
+                windows.append(acts)
+            if not T:
+                assert record.output_membrane[rows].shape == (0, 2)
+                continue
+            acts = [np.concatenate(layer)[:, 0] for layer in zip(*windows)]
+            assert np.array_equal(record.input_spikes[rows], x)
+            for h, a in zip(record.hidden_spikes, acts[1:-1]):
+                assert np.array_equal(h[rows], a)
+            assert np.array_equal(record.output_membrane[rows], acts[-1])
+            assert (record.output_membrane[rows] >= p.threshold).any()
+
+            ref, _ = scalar_reference_trace(net, x)
+            for h, ref_h in zip(record.hidden_spikes, ref[1:-1]):
+                assert np.array_equal(h[rows], np.array(ref_h))
+            np.testing.assert_allclose(record.output_membrane[rows], np.array(ref[-1]),
+                                       rtol=1e-12, atol=0)
+        assert at == record.timesteps
+        assert all(h.any() and not h.all() for h in record.hidden_spikes)
 
 
 class TestConfig:

@@ -339,3 +339,10 @@ class TestHyperParamValidation:
             PruneHyperParams(scope="columnwise")
         with pytest.raises(ValueError):
             PruneHyperParams(mode="extra-adaptive")
+
+    def test_p_start_is_at_most_100_percentage_points(self):
+        # a finite but huge rate overflowed prune_step's count to a traceback
+        assert PruneHyperParams(p_start=100.0).p_start == 100.0
+        for p_start in (100.5, 1e308):
+            with pytest.raises(ValueError, match="p_start"):
+                PruneHyperParams(p_start=p_start)

@@ -284,6 +284,27 @@ class TestPretrain:
             assert np.array_equal(a.weights, b.weights)
         assert target == validate(fresh, split["val"])
 
+    @pytest.mark.parametrize("max_epochs", [0, 1, 3])
+    def test_validates_once_per_epoch(self, monkeypatch, max_epochs):
+        # no discarded validation before the first epoch; 0 epochs needs one
+        import spikeprune.training as training
+        calls = []
+
+        def counting_validate(net, segments):
+            calls.append(1)
+            return validate(net, segments)
+
+        monkeypatch.setattr(training, "validate", counting_validate)
+        split = split_session(generate_synthetic(seed=1, channels=4, T=120, rate=0.3))
+        tc = TrainConfig(max_epochs=max_epochs, batch_length=10)
+        losses = []
+        _, target = pretrain(NetworkConfig.snn3(4, hidden=(5, 5, 5), seed=6), split, tc,
+                             log=lambda epoch, train, val: losses.append(val))
+        assert len(calls) == max(max_epochs, 1)
+        assert len(losses) == max_epochs
+        if losses:
+            assert target == losses[-1]
+
     def test_seeded_determinism(self):
         session = generate_synthetic(seed=1, channels=4, T=160, rate=0.3)
         split = split_session(session)
