@@ -20,8 +20,10 @@ other OSError is a data error.
 
 Sessions, checkpoints and eval reports are written to a temp file and then
 moved into place, so a failed write leaves no partial output; the CSV traces
-are appended and flushed per event, so an interrupted run keeps its rows
-(a finished prune trace ends with its "# terminated:" comment).
+are appended and flushed per event, so an interrupted run keeps its rows.
+Only a finished run ends its trace with a comment: "# completed: <n> epochs"
+once pretrain has written its checkpoint, "# terminated: <reason>" once the
+pruning controller stops.
 """
 
 from __future__ import annotations
@@ -208,16 +210,17 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     def log(epoch, train_loss, val_loss):
         sink(TraceEvent(epoch, "epoch", epoch + 1, train_loss, val_loss, None, 0.0))
 
+    ckpt_path = out_dir / "dense.ckpt"
     try:
         net, target_loss = pretrain(net_config, split, tc, log=log)
+        ckpt.save_checkpoint(ckpt_path, net, meta={
+            "config_digest": digest, "stage": "pretrain",
+            "target_loss": target_loss, "epochs": tc.max_epochs,
+            "session_id": session.session_id,
+        })
+        sink.comment(f"completed: {tc.max_epochs} epochs")
     finally:
         sink.close()
-    ckpt_path = out_dir / "dense.ckpt"
-    ckpt.save_checkpoint(ckpt_path, net, meta={
-        "config_digest": digest, "stage": "pretrain",
-        "target_loss": target_loss, "epochs": tc.max_epochs,
-        "session_id": session.session_id,
-    })
     print(f"pretrained {tc.max_epochs} epochs, target loss {target_loss!r} -> {ckpt_path}")
     return EXIT_OK
 

@@ -222,6 +222,8 @@ def generate_synthetic(seed: int, channels: int, T: int, rate: float,
     decay so the target is exactly representable by the decoder. Everything
     is a pure function of the arguments.
     """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     if not 0 < rate < 1:
         raise ValueError(f"rate must be in (0,1), got {rate}")
     if not label_tau_steps > 0:

@@ -287,12 +287,14 @@ def _lif_scan(u, fired, d, threshold, decay: float, reset_decayed: float) -> Non
 
 
 def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                   mode: str = SPIKING, width: float = 1.0):
+                   mode: str = SPIKING, width: float = 1.0, effective=None):
     """Run one window of B sequences; returns (acts, membranes, final_state).
 
     x is [Tw x B x input_dim] float64: B independent equal-length sequences
     advance in lockstep. state holds one [B x H] membrane array per
-    connection layer and is not mutated. acts[0] is x and acts[l + 1] the
+    connection layer and is not mutated. effective holds each layer's
+    weights·mask when the caller already has them (training shares them
+    with the backward pass). acts[0] is x and acts[l + 1] the
     output of connection layer l (its spikes, or for the readout its
     membrane, so acts[-1] is the prediction); membranes[l] is layer l's
     pre-reset membrane. Both are [Tw x B x H] per layer. DIFFERENTIABLE mode
@@ -319,7 +321,7 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
         a = acts[-1]
         # C-contiguous W^T: BLAS takes another kernel for the transposed view,
         # which rounds the current differently in the last bit
-        w_t = layer.effective().T.copy()
+        w_t = (layer.effective() if effective is None else effective[i]).T.copy()
         u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
         v = state[i]
         if i == readout or mode == SPIKING:

@@ -14,6 +14,26 @@ windows of `batch_length` timesteps and applied once per window; membrane
 state carries across windows within a contiguous segment and resets between
 segments. The prune mask is reapplied after every parameter update, so
 pruned weights are exactly zero at every observation point.
+
+A training window costs as few numpy calls as the per-step scans allow,
+with the bits of a layer-by-layer step:
+
+- Flat optimizer pass. For an epoch the layers' weights are views of one
+  flat vector; each window's effective weights (weights·mask) and gradients
+  are one flat vector each, the gradients written by matmul(out=) and
+  masked by one multiply. Adam keeps flat moments and runs its elementwise
+  ops once a window, not once a layer, and one putmask against the epoch's
+  cached zero-mask (masks do not change within an epoch) replaces
+  weights[mask == 0] = 0. Every op is elementwise, so the bits do not
+  depend on how the layers are laid out. The forward and backward passes
+  share the window's effective weights.
+- Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
+  du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
+  du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
+  +0.0, and c·dk[t] has the bits of (decay·c)·(1 - s[t]), the sign of zero
+  included: decay·c cannot overflow (decay <= 1), and a product with +0.0
+  takes the sign of c either way. DIFFERENTIABLE mode keeps the three-term
+  step, its s being a sigmoid.
 """
 
 from __future__ import annotations
@@ -76,14 +96,17 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
-                     mode: str, width: float):
-    """Gradients of the window MSE w.r.t. every weight matrix.
+                     mode: str, width: float, effective, grads) -> None:
+    """Write the window-MSE gradient of every weight matrix into grads.
 
-    acts and membranes are what forward_window returned for the window.
-    Layer-major, from the readout down: each layer runs a reverse elementwise
-    scan over the window, c = x[t] + (decay * c) * keep[t] with x the error
-    arriving from above times the surrogate and keep = 1 - s, and one GEMM
-    carries its membrane gradients to the layer below.
+    acts and membranes are what forward_window returned for the window, and
+    effective the weights·mask it ran with; grads[i] gets layer i's
+    gradient, unmasked. Layer-major, from the readout down: each layer runs
+    a reverse elementwise scan over the window, and one GEMM carries its
+    membrane gradients to the layer below. A SPIKING hidden layer's scan is
+    c = x[t] + c·dk[t], with x the error arriving from above times the
+    surrogate and dk = decay·(1 - s) taken once per window (module
+    docstring).
     """
     Tw, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
@@ -91,7 +114,6 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
     decay = p.decay
     pred = acts[-1]
     src = (pred - truth) * (2.0 / pred.size)
-    grads = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         u = membranes[i]
         c = np.zeros_like(u[0])
@@ -101,32 +123,74 @@ def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
             for du_t in du[::-1]:
                 du_t += decay * c
                 c = du_t
+        elif mode == SPIKING:
+            s = acts[i + 1]
+            du = src * surrogate_spike_grad(u, p, width)
+            dk = decay * (1.0 - s)
+            for du_t, dk_t in zip(du[::-1], dk[::-1]):
+                du_t += c * dk_t
+                c = du_t
         else:
             s = acts[i + 1]
-            if mode == SPIKING:
-                g = surrogate_spike_grad(u, p, width)
-            else:
-                g = s * (1.0 - s) / width
+            g = s * (1.0 - s) / width
             du = src * g
             keep = 1.0 - s
-            if mode == SPIKING:
-                for du_t, kt in zip(du[::-1], keep[::-1]):
-                    du_t += decay * c * kt
-                    c = du_t
-            else:
-                # reset path differentiated too: v = u(1-s) + r*s
-                reset_gap = p.reset_value - u
-                for du_t, kt, rt, gt in zip(du[::-1], keep[::-1], reset_gap[::-1], g[::-1]):
-                    dc = decay * c
-                    du_t += dc * kt
-                    du_t += dc * rt * gt
-                    c = du_t
+            # reset path differentiated too: v = u(1-s) + r*s
+            reset_gap = p.reset_value - u
+            for du_t, kt, rt, gt in zip(du[::-1], keep[::-1], reset_gap[::-1], g[::-1]):
+                dc = decay * c
+                du_t += dc * kt
+                du_t += dc * rt * gt
+                c = du_t
+        du = du.reshape(Tw * B, -1)
         if i > 0:
-            src = (du.reshape(Tw * B, -1) @ net.layers[i].effective()).reshape(Tw, B, -1)
-        grad = du.reshape(Tw * B, -1).T @ acts[i].reshape(Tw * B, -1)
-        grad *= net.layers[i].mask
-        grads[i] = grad
-    return grads
+            src = (du @ effective[i]).reshape(Tw, B, -1)
+        np.matmul(du.T, acts[i].reshape(Tw * B, -1), out=grads[i])
+
+
+def _layer_views(flat: np.ndarray, layers) -> list[np.ndarray]:
+    """Views of flat shaped like each layer's weights, end to end in layer order."""
+    views = []
+    lo = 0
+    for layer in layers:
+        hi = lo + layer.weights.size
+        views.append(flat[lo:hi].reshape(layer.weights.shape))
+        lo = hi
+    return views
+
+
+def _flat_of(arrays):
+    """The flat vector `arrays` are the _layer_views of, or None.
+
+    Arrays that all view one flat vector of their total size are taken to
+    be its _layer_views: nothing else lays arrays out that way.
+    """
+    base = arrays[0].base
+    if (isinstance(base, np.ndarray) and base.ndim == 1
+            and base.size == sum(a.size for a in arrays)
+            and all(a.base is base for a in arrays)):
+        return base
+    return None
+
+
+def _flat_weights(net: Network) -> np.ndarray:
+    """Every weight of the network as one flat vector the layers' weights view.
+
+    The weights are packed into a new vector unless they already view one;
+    they stay packed until something gives a layer an array of its own
+    (a restore, a checkpoint load).
+    """
+    flat = _flat_of([layer.weights for layer in net.layers])
+    if flat is None:
+        flat = np.concatenate([layer.weights.ravel() for layer in net.layers])
+        for layer, w in zip(net.layers, _layer_views(flat, net.layers)):
+            layer.weights = w
+    return flat
+
+
+def _flat_mask(net: Network) -> np.ndarray:
+    """Every layer's mask as one flat float64 vector, laid out as _flat_weights."""
+    return np.concatenate([layer.mask.ravel() for layer in net.layers]).astype(np.float64)
 
 
 def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
@@ -134,7 +198,8 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
                       state: list[np.ndarray] | None = None):
     """Loss and weight gradients for one contiguous window.
 
-    Returns (loss, grads, final_state); state defaults to zeros.
+    Returns (loss, grads, final_state); state defaults to zeros. grads are
+    views of one flat vector, which AdamOptimizer.step reads in place.
     """
     x = np.asarray(spikes, dtype=np.float64)
     y = np.asarray(velocity, dtype=np.float64)
@@ -146,10 +211,15 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
         state = [np.zeros(net.config.layer_dims[i + 1])
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
+    effective = [layer.effective() for layer in net.layers]
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
-                                                  mode, width)
+                                                  mode, width, effective)
     loss = mse_loss(acts[-1][:, 0, :], y)
-    grads = _backward_window(net, acts, membranes, y[:, None, :], mode, width)
+    mask = _flat_mask(net)
+    g = np.empty_like(mask)
+    grads = _layer_views(g, net.layers)
+    _backward_window(net, acts, membranes, y[:, None, :], mode, width, effective, grads)
+    g *= mask
     return loss, grads, [s[0] for s in final_state]
 
 
@@ -168,18 +238,28 @@ class AdamOptimizer:
         self._t = 0
 
     def step(self, net: Network, grads) -> None:
+        """One Adam update of every weight, in place, from per-layer grads.
+
+        It runs once over all layers: the weights as _flat_weights, the
+        gradients as the flat vector they view (train_epoch's and
+        compute_gradients' do) or else a flat copy, the moments flat.
+        """
+        w = _flat_weights(net)
+        g = _flat_of(grads)
+        if g is None:
+            g = np.concatenate([np.ravel(x) for x in grads])
         if self._m is None:
-            self._m = [np.zeros_like(g) for g in grads]
-            self._v = [np.zeros_like(g) for g in grads]
+            self._m = np.zeros_like(g)
+            self._v = np.zeros_like(g)
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        for layer, g, m, v in zip(net.layers, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            layer.weights -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 def _length_groups(segments):
@@ -203,10 +283,21 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     Equal-length segments advance in lockstep and share each window's update;
     the loss is the MSE of the forward predictions made during the pass
     (before the window's update), pooled over all labeled timesteps.
+    optimizer.step(net, grads) must update the weights in place; the next
+    window overwrites grads.
     """
     groups = _length_groups(segments)
     if not groups:
         raise ValueError("empty training dataset")
+    # one flat vector each for the weights, the effective weights and the
+    # gradients; the masks hold for the whole epoch
+    w = _flat_weights(net)
+    mask = _flat_mask(net)
+    zero = mask == 0
+    eff = np.empty_like(w)
+    g = np.empty_like(w)
+    effective = _layer_views(eff, net.layers)
+    grads = _layer_views(g, net.layers)
     total_sq = 0.0
     total_n = 0
     for length, group in groups.items():
@@ -215,14 +306,16 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
                  for i in range(net.config.n_layers)]
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            acts, membranes, state = forward_window(net, x[lo:hi], state,
-                                                    SPIKING, cfg.surrogate_width)
-            grads = _backward_window(net, acts, membranes, y[lo:hi],
-                                     SPIKING, cfg.surrogate_width)
+            np.multiply(w, mask, out=eff)
+            acts, membranes, state = forward_window(net, x[lo:hi], state, SPIKING,
+                                                    cfg.surrogate_width, effective)
+            _backward_window(net, acts, membranes, y[lo:hi], SPIKING,
+                             cfg.surrogate_width, effective, grads)
+            g *= mask
             total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
             total_n += acts[-1].size
             optimizer.step(net, grads)
-            net.apply_masks()
+            np.putmask(w, zero, 0.0)
     return total_sq / total_n
 
 

@@ -5,7 +5,9 @@ the forward reference is a plain-Python scalar loop, spiking-mode gradients
 come from a plain-Python surrogate BPTT over that loop, differentiable-mode
 gradient checks use central finite differences over the public loss,
 operation counts come from a brute-force quadruple loop, and prune selection
-from a plain-Python sort.
+from a plain-Python sort. The training step's bit-exactness oracle is the
+step layer by layer: a three-call reverse scan, Adam per layer and masking
+by boolean index.
 """
 
 import math
@@ -14,10 +16,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spikeprune.network import DIFFERENTIABLE, Network, NetworkConfig
+from spikeprune.network import DIFFERENTIABLE, SPIKING, Network, NetworkConfig, forward_window
 from spikeprune.pruning import PER_LAYER
 from spikeprune.pruning import prunable_zero_fraction
-from spikeprune.training import compute_gradients
+from spikeprune.training import compute_gradients, surrogate_spike_grad
 
 
 def indy_net(seed=0):
@@ -150,6 +152,110 @@ def assert_grads_close(analytic, numeric, rel=1e-4, floor=1e-9):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
         bad = (diff > floor) & (diff / denom > rel)
         assert not bad.any(), f"max rel err {(diff / denom).max():.2e}"
+
+
+class PerLayerAdam:
+    """Adam as one update per layer; the training step's optimizer oracle."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.reset()
+
+    def reset(self):
+        self.m = None
+        self.v = None
+        self.t = 0
+
+    def step(self, net, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(g) for g in grads]
+            self.v = [np.zeros_like(g) for g in grads]
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for layer, g, m, v in zip(net.layers, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            layer.weights -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def per_layer_window_grads(net, acts, membranes, truth, width):
+    """SPIKING-mode gradients of one forward_window, layer by layer.
+
+    A hidden layer's reverse scan is du[t] += decay * c * keep[t], three
+    numpy calls a step, with keep = 1 - s; each gradient is masked by
+    multiplying with its layer's mask.
+    """
+    Tw, B = truth.shape[0], truth.shape[1]
+    n_layers = net.config.n_layers
+    p = net.config.lif
+    decay = p.decay
+    pred = acts[-1]
+    src = (pred - truth) * (2.0 / pred.size)
+    grads = [None] * n_layers
+    for i in range(n_layers - 1, -1, -1):
+        u = membranes[i]
+        c = np.zeros_like(u[0])
+        if i == n_layers - 1:
+            du = src
+            for du_t in du[::-1]:
+                du_t += decay * c
+                c = du_t
+        else:
+            s = acts[i + 1]
+            du = src * surrogate_spike_grad(u, p, width)
+            keep = 1.0 - s
+            for du_t, kt in zip(du[::-1], keep[::-1]):
+                du_t += decay * c * kt
+                c = du_t
+        if i > 0:
+            src = (du.reshape(Tw * B, -1) @ net.layers[i].effective()).reshape(Tw, B, -1)
+        grad = du.reshape(Tw * B, -1).T @ acts[i].reshape(Tw * B, -1)
+        grad *= net.layers[i].mask
+        grads[i] = grad
+    return grads
+
+
+def per_layer_train_epoch(net, segments, cfg, optimizer):
+    """train_epoch's oracle: the same windows, each a per-layer step.
+
+    Equal-length segments form a batch in first-occurrence order; each
+    window runs forward_window on the layers' own effective weights,
+    per_layer_window_grads, optimizer.step and then, layer by layer,
+    weights[mask == 0] = 0. Returns the pooled training MSE.
+    """
+    groups = {}
+    for seg in segments:
+        if seg.timesteps > 0:
+            groups.setdefault(seg.timesteps, []).append(seg)
+    total_sq = 0.0
+    total_n = 0
+    for length, group in groups.items():
+        x = np.stack([s.spikes for s in group], axis=1).astype(np.float64)
+        y = np.stack([s.velocity for s in group], axis=1)
+        state = [np.zeros((len(group), d)) for d in net.config.layer_dims[1:]]
+        for lo in range(0, length, cfg.batch_length):
+            hi = min(lo + cfg.batch_length, length)
+            acts, membranes, state = forward_window(net, x[lo:hi], state, SPIKING,
+                                                    cfg.surrogate_width)
+            grads = per_layer_window_grads(net, acts, membranes, y[lo:hi],
+                                           cfg.surrogate_width)
+            total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
+            total_n += acts[-1].size
+            optimizer.step(net, grads)
+            for layer in net.layers:
+                layer.weights[layer.mask == 0] = 0.0
+    return total_sq / total_n
+
+
+def assert_same_bits(a, b):
+    """Equal values with equal sign bits, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def brute_force_ops(record, net):

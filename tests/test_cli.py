@@ -153,6 +153,58 @@ class TestConfig:
         assert not (tmp_path / "bad").exists()
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class TestConfigFuzz:
+    def test_zero_and_negative_values_exit_cleanly(self, tmp_path, capsys):
+        """Every numeric key of the schema set to 0 and to -1, and
+        network.hidden to a list with a 0, one with a negative width and an
+        empty list: synth, pretrain, prune and eval each exit 0, 2, 3 or 4,
+        never with a traceback."""
+        finetune = {k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "max_epochs"}
+        schema = dict(DEFAULT_CONFIG, finetune=finetune)
+        paths = [(k,) for k, v in schema.items() if _is_number(v)]
+        paths += [(k, sub) for k, v in schema.items() if isinstance(v, dict)
+                  for sub, d in v.items() if _is_number(d)]
+        cases = [(path, value) for path in paths for value in (0, -1)]
+        rng = np.random.default_rng(13)
+        for width in (0, -int(rng.integers(1, 10))):
+            hidden = [3, 3, 3]
+            hidden[int(rng.integers(3))] = width
+            cases.append((("network", "hidden"), hidden))
+        cases.append((("network", "hidden"), []))
+        codes = set()
+        for n, (path, value) in enumerate(cases):
+            case = tmp_path / str(n)
+            case.mkdir()
+            _, cfg = write_config(case, network={"hidden": [3, 3, 3]},
+                                  train={"max_epochs": 1, "batch_length": 50},
+                                  prune={"p_start": 30.0, "pruned_max": 0.5},
+                                  synth={"timesteps": 200})
+            doc = cfg
+            for key in path[:-1]:
+                doc = doc.setdefault(key, {})
+            doc[path[-1]] = value
+            p = case / "fuzz.json"
+            p.write_text(json.dumps(cfg))
+            out = case / "out"
+            for argv in (["synth"], ["pretrain"],
+                         ["prune", "--checkpoint", str(out / "dense.ckpt")],
+                         ["eval", "--checkpoint", str(out / "pruned.ckpt")]):
+                try:
+                    code = main(argv + ["--config", str(p)])
+                except Exception as e:
+                    pytest.fail(f"{'.'.join(path)}={value!r}: {argv[0]} raised {e!r}")
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED), (path, value)
+                assert "Traceback" not in err
+                codes.add(code)
+        assert len(paths) == 26 and len(cases) == 55
+        assert {EXIT_OK, EXIT_CONFIG, EXIT_DATA} <= codes
+
+
 class TestSynth:
     def test_writes_loadable_deterministic_session(self, tmp_path):
         p, cfg = write_config(tmp_path)
@@ -190,8 +242,9 @@ class TestPipelineCommands:
         trace = (tmp / "out" / "pretrain_trace.csv").read_text().splitlines()
         assert trace[0].startswith("# config_digest=")
         assert trace[1].split(",")[0] == "event_index"
-        assert len(trace) == 2 + 2  # two epochs
-        for k, row in enumerate(trace[2:]):
+        assert len(trace) == 2 + 2 + 1  # two epochs and the end marker
+        assert trace[-1] == "# completed: 2 epochs"
+        for k, row in enumerate(trace[2:-1]):
             index, kind, epoch, train, val, rate, pruned = row.split(",")
             assert (index, kind, epoch) == (str(k), "epoch", str(k + 1))
             assert np.isfinite(float(train)) and np.isfinite(float(val))
@@ -207,12 +260,34 @@ class TestPipelineCommands:
         assert ckpt.read_bytes() == first
         assert (tmp / "out" / "pretrain_trace.csv").read_bytes() == first_trace
 
+    def test_diverged_rerun_leaves_trace_without_end_marker(self, prepared, capsys):
+        # the earlier run's checkpoint stays, but its trace is overwritten:
+        # only the end marker tells the finished trace from the partial one
+        p, tmp = prepared
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        trace_path = tmp / "out" / "pretrain_trace.csv"
+        assert trace_path.read_text().splitlines()[-1] == "# completed: 2 epochs"
+        dense = (tmp / "out" / "dense.ckpt").read_bytes()
+        # every hidden neuron fires at every step, so the readout weights
+        # that Adam moves by ~1e200 overflow the loss
+        bad, _ = write_config(tmp, lif={"threshold": -1.0}, train={"learning_rate": 1e200})
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["pretrain", "--config", str(bad)]) == EXIT_DIVERGED
+        assert "training diverged" in capsys.readouterr().err
+        trace = trace_path.read_text().splitlines()
+        assert len(trace) > 2 and trace[-1].split(",")[1] == "epoch"
+        assert not any(line.startswith("# completed") for line in trace)
+        assert (tmp / "out" / "dense.ckpt").read_bytes() == dense
+
     def test_zero_epoch_pretrain_emits_initial_checkpoint(self, tmp_path):
         p, _ = write_config(tmp_path, train={"max_epochs": 0})
         assert main(["synth", "--config", str(p)]) == EXIT_OK
         assert main(["pretrain", "--config", str(p)]) == EXIT_OK
         net, meta = load_checkpoint(tmp_path / "out" / "dense.ckpt")
         assert meta["epochs"] == 0
+        trace = (tmp_path / "out" / "pretrain_trace.csv").read_text().splitlines()
+        assert trace[2:] == ["# completed: 0 epochs"]
 
     def test_p_start_over_100_exits_2_without_checkpoint(self, prepared, capsys):
         # p_start is in percentage points; 1e308 overflowed prune_step's count

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from helpers import (
+    PerLayerAdam,
     assert_grads_close,
+    assert_same_bits,
     finite_difference_grads,
+    per_layer_train_epoch,
     scalar_reference_trace,
     scalar_surrogate_grads,
 )
 
 from spikeprune.data import SpikeSession, generate_synthetic, split_session
-from spikeprune.network import DIFFERENTIABLE, LifParams, Network, NetworkConfig, network_forward
+from spikeprune.network import (DIFFERENTIABLE, LifParams, Network, NetworkConfig, WeightLayer,
+                                network_forward)
 from spikeprune.training import (
     AdamOptimizer,
     TrainConfig,
@@ -183,6 +187,43 @@ class TestTrainEpoch:
                 assert g.any()
                 np.testing.assert_allclose(g, (ref_a + ref_b) / 2, rtol=1e-12, atol=1e-15)
         assert loss == pytest.approx(total_sq / (2 * T * 2), rel=1e-12)
+
+    @pytest.mark.parametrize("B, masked, reset_value, adam_reset", [
+        (1, 0.0, 0.0, False),
+        (3, 0.6, 0.3, True),
+        (4, 0.6, 0.0, False),
+        (4, 0.0, 0.3, True),
+    ], ids=["B1-dense", "B3-masked-reset0.3-adam-reset", "B4-masked", "B4-reset0.3-adam-reset"])
+    def test_matches_per_layer_step_bit_for_bit(self, B, masked, reset_value, adam_reset):
+        # the flat optimizer pass, the two-call reverse scan and the cached
+        # zero-mask change no bit of the per-layer step, sign bits included
+        rng = np.random.default_rng(B)
+        lif = LifParams(tau=4.0, reset_value=reset_value)
+        net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=B, lif=lif),
+                                  init_scale=2.5)
+        if masked:
+            # the masked weights stay nonzero until the first update zeroes them
+            for layer in net.prunable_layers():
+                layer.mask = (rng.random(layer.mask.shape) >= masked).astype(np.uint8)
+        ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
+                                   for l in net.layers])
+        start = [l.weights.copy() for l in net.layers]
+        segs = [SpikeSession(spikes=(rng.random((57, 6)) < 0.5).astype(np.uint8),
+                             velocity=rng.normal(size=(57, 2)), dt_ms=1.0)
+                for _ in range(B)]
+        tc = TrainConfig(learning_rate=5e-3, batch_length=10)  # a 7-step tail window
+        opt, ref_opt = AdamOptimizer(tc.learning_rate), PerLayerAdam(tc.learning_rate)
+        for epoch in range(2):
+            if epoch and adam_reset:
+                opt.reset()
+                ref_opt.reset()
+            assert_same_bits(train_epoch(net, segs, tc, opt),
+                             per_layer_train_epoch(ref, segs, tc, ref_opt))
+        for layer, ref_layer, w0 in zip(net.layers, ref.layers, start):
+            assert_same_bits(layer.weights, ref_layer.weights)
+            assert not np.array_equal(layer.weights[layer.mask == 1], w0[layer.mask == 1])
+        assert_same_bits(opt._m, np.concatenate([m.ravel() for m in ref_opt.m]))
+        assert_same_bits(opt._v, np.concatenate([v.ravel() for v in ref_opt.v]))
 
     def test_loss_does_not_increase_statistically(self):
         good = 0
