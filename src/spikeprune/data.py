@@ -16,8 +16,10 @@ contiguous so membrane state can be reset at each segment start.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -228,6 +230,10 @@ def generate_synthetic(seed: int, channels: int, T: int, rate: float,
         raise ValueError(f"rate must be in (0,1), got {rate}")
     if not label_tau_steps > 0:
         raise ValueError(f"label_tau_steps must be > 0, got {label_tau_steps}")
+    if not 0 <= mixing_density <= 1:
+        raise ValueError(f"mixing_density must be in [0,1], got {mixing_density}")
+    if not (math.isfinite(dt_ms) and dt_ms > 0):
+        raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
     rng = np.random.default_rng(seed)
     spikes = (rng.random((T, channels)) < rate).astype(np.uint8)
     if mixing is None:
@@ -245,12 +251,14 @@ def generate_synthetic(seed: int, channels: int, T: int, rate: float,
             raise ValueError(f"mixing must be [2 x {channels}], got {mixing.shape}")
 
     alpha = float(np.exp(-1.0 / label_tau_steps))
+    b = 1.0 - alpha
     drive = spikes.astype(np.float64) @ mixing.T
-    velocity = np.zeros((T, 2))
-    v = np.zeros(2)
-    for t in range(T):
-        v = alpha * v + (1.0 - alpha) * drive[t]
-        velocity[t] = v
+    # the filter x = alpha·x + b·dx, in Python floats: the same IEEE
+    # operations as in numpy, without a numpy call per step; C order, as
+    # std's summation order depends on it
+    velocity = np.ascontiguousarray(np.array(
+        [list(accumulate(column, lambda x, dx: alpha * x + b * dx, initial=0.0))[1:]
+         for column in drive.T.tolist()]).T)
     std = velocity.std(axis=0)
     for k in range(2):
         if std[k] > 0:

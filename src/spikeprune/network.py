@@ -18,7 +18,11 @@ sequences in lockstep, from a given membrane state. It is layer-major: the
 network is feed-forward, so each layer's input current for the whole window
 is one GEMM over the finished output of the layer below, against the
 C-contiguous copy of W^T, pooling the B sequences into [Tw·B] rows; then
-the layer's membranes are scanned.
+the layer's membranes are scanned. It runs in a `_Workspace`: buffers for
+every layer's window, the per-step views the scans iterate and the
+membranes carried to the next window, made once for many windows of one
+shape (training makes one per length group), so a training window
+allocates no array and the scans are its only per-step cost.
 
 Eval and validation share one driver, `_forward_sequences`: it groups
 sequences by length and runs each group in batches of up to _EVAL_BATCH
@@ -38,7 +42,9 @@ bits depend neither on B nor on which layers share its scan: eval is
 reproducible bit for bit per segment, and the validation loss is the MSE of
 exactly eval's prediction. At most n_layers windows are in flight, in
 buffers allocated once per batch, so memory stays bounded on long sessions.
-`network_forward` is the one-sequence case.
+The windows are short (_EVAL_WINDOW): the wavefront's pipeline fill scans
+(n_layers - 1)·Tw extra rows per batch, and short windows keep the stage
+buffers in cache. `network_forward` is the one-sequence case.
 """
 
 from __future__ import annotations
@@ -63,8 +69,13 @@ DIFFERENTIABLE = "differentiable"
 
 # Timesteps per window in eval and validation. It bounds their memory: a
 # batch holds one window of every layer in flight, however long the
-# sequences are.
-_EVAL_WINDOW = 1000
+# sequences are. Short windows cost less: the wavefront's pipeline fill
+# scans (n_layers - 1)·Tw extra rows per batch (3,000 on a 1,250-step
+# validation segment at 1000 steps), and at 128 steps a batch of 4 at 96
+# channels has 1.3 MB of stage buffers, not 10 MB, and every GEMM stays
+# under 10^6 multiply-adds (README "Determinism"). A sweep over 64 to 256
+# steps found 128 fastest on eval and validate (ROADMAP, Settled).
+_EVAL_WINDOW = 128
 # Most equal-length sequences eval and validation run together. At 96 input
 # channels a batch of 8 raised the eval peak RSS by 26 MB and ran no faster
 # than two batches of 4.
@@ -267,27 +278,97 @@ def _sigmoid(x):
 def _lif_scan(u, fired, d, threshold, decay: float, reset_decayed: float) -> None:
     """Advance membranes through u's time steps, in place: the LIF update.
 
-    u is [Tw x ...]: u[t] holds step t's input current and becomes its
-    pre-reset membrane u[t] + d, where d holds the decayed membranes carried
-    from the step before. fired[t] gets u[t] >= threshold, and d becomes
-    u[t]·decay, or reset_decayed = reset_value·decay wherever a neuron
-    fired: the bits of decaying the reset membrane. fired None marks
-    readout-only columns, which never fire and skip the compare and reset.
+    u is a sequence of step arrays (an array [Tw x ...] or a list of its
+    rows): u[t] holds step t's input current and becomes its pre-reset
+    membrane u[t] + d, where d holds the decayed membranes carried from the
+    step before. fired[t] gets u[t] >= threshold, and d becomes u[t]·decay,
+    or reset_decayed = reset_value·decay wherever a neuron fired: the bits
+    of decaying the reset membrane. fired None marks readout-only columns,
+    which never fire and skip the compare and reset.
     """
+    add, greater_equal, multiply, putmask = np.add, np.greater_equal, np.multiply, np.putmask
     if fired is None:
         for ut in u:
-            ut += d
-            np.multiply(ut, decay, out=d)
+            add(ut, d, ut)
+            multiply(ut, decay, d)
         return
     for ut, ft in zip(u, fired):
-        ut += d
-        np.greater_equal(ut, threshold, out=ft)
-        np.multiply(ut, decay, out=d)
-        np.putmask(d, ft, reset_decayed)
+        add(ut, d, ut)
+        greater_equal(ut, threshold, ft)
+        multiply(ut, decay, d)
+        putmask(d, ft, reset_decayed)
+
+
+class _Workspace:
+    """forward_window's buffers for windows of up to Tw steps of B sequences.
+
+    Per connection layer: the C-contiguous W^T, the pre-reset membranes u
+    [Tw x B x H], into which the GEMM writes the input current, and the
+    decayed membranes d [B x H] the scan carries from step to step and from
+    window to window (zero at first). Per hidden layer: the fired flags and
+    the spikes as float64, the GEMM input of the layer above. The per-step
+    views the scans iterate are made once, here; a window of n < Tw steps
+    uses the first n.
+    """
+
+    def __init__(self, dims, Tw: int, B: int):
+        self.Tw, self.B = Tw, B
+        shapes = [(Tw, B, h) for h in dims[1:]]
+        self.w_t = [np.empty((k, h)) for k, h in zip(dims[:-1], dims[1:])]
+        self.u = [np.empty(shape) for shape in shapes]
+        self.d = [np.zeros(shape[1:]) for shape in shapes]
+        self.fired = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
+        self.spikes = [np.empty(shape) for shape in shapes[:-1]]
+        self.u_t = [list(u) for u in self.u]
+        self.fired_t = [list(f) for f in self.fired]
+
+
+def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, width: float,
+                    effective=None):
+    """Advance ws's membranes over x [n x B x input_dim]; returns (acts, membranes).
+
+    The body of forward_window: the state is the workspace's d, left as the
+    next window's start, and acts and membranes are views of ws, valid
+    until its next window.
+    """
+    n, B = x.shape[0], x.shape[1]
+    dims = net.config.layer_dims
+    p = net.config.lif
+    decay = p.decay
+    readout = net.config.n_layers - 1
+    acts = [x]
+    membranes = []
+    for i, layer in enumerate(net.layers):
+        # C-contiguous W^T: BLAS takes another kernel for the transposed view,
+        # which rounds the current differently in the last bit
+        w_t = ws.w_t[i]
+        np.copyto(w_t, (layer.effective() if effective is None else effective[i]).T)
+        u = ws.u[i][:n]
+        np.matmul(acts[-1].reshape(n * B, dims[i]), w_t, out=u.reshape(n * B, dims[i + 1]))
+        d = ws.d[i]
+        if i == readout:
+            _lif_scan(ws.u_t[i][:n], None, d, p.threshold, decay, p.reset_value * decay)
+            out = u
+        elif mode == SPIKING:
+            _lif_scan(ws.u_t[i][:n], ws.fired_t[i][:n], d, p.threshold, decay,
+                      p.reset_value * decay)
+            out = ws.spikes[i][:n]
+            # numpy casts uint8 to float64 faster than bool
+            np.copyto(out, ws.fired[i][:n].view(np.uint8))
+        else:
+            out = ws.spikes[i][:n]
+            for ut, st in zip(u, out):
+                ut += d
+                s = _sigmoid((ut - p.threshold) / width)
+                st[...] = s
+                np.multiply(ut * (1.0 - s) + p.reset_value * s, decay, out=d)
+        acts.append(out)
+        membranes.append(u)
+    return acts, membranes
 
 
 def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                   mode: str = SPIKING, width: float = 1.0, effective=None):
+                   mode: str = SPIKING, width: float = 1.0, effective=None, ws=None):
     """Run one window of B sequences; returns (acts, membranes, final_state).
 
     x is [Tw x B x input_dim] float64: B independent equal-length sequences
@@ -297,8 +378,9 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     with the backward pass). acts[0] is x and acts[l + 1] the
     output of connection layer l (its spikes, or for the readout its
     membrane, so acts[-1] is the prediction); membranes[l] is layer l's
-    pre-reset membrane. Both are [Tw x B x H] per layer. DIFFERENTIABLE mode
-    (test-only) replaces the spike step with sigmoid((u - threshold)/width).
+    pre-reset membrane. Both are [Tw x B x H] per layer, views of the
+    workspace ws (a new one by default). DIFFERENTIABLE mode (test-only)
+    replaces the spike step with sigmoid((u - threshold)/width).
 
     Layer-major: each layer's input current for the whole window is one GEMM
     over the layer below's finished output, pooling the B sequences into
@@ -311,36 +393,18 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     Tw, B = x.shape[0], x.shape[1]
     if [np.shape(v) for v in state] != [(B, d) for d in dims[1:]]:
         raise ValueError(f"state needs one [{B} x H] membrane array per layer")
+    if ws is None:
+        ws = _Workspace(dims, Tw, B)
     p = net.config.lif
-    decay = p.decay
-    readout = net.config.n_layers - 1
-    acts = [x]
-    membranes = []
-    final_state = []
-    for i, layer in enumerate(net.layers):
-        a = acts[-1]
-        # C-contiguous W^T: BLAS takes another kernel for the transposed view,
-        # which rounds the current differently in the last bit
-        w_t = (layer.effective() if effective is None else effective[i]).T.copy()
-        u = (a.reshape(Tw * B, dims[i]) @ w_t).reshape(Tw, B, dims[i + 1])
-        v = state[i]
-        if i == readout or mode == SPIKING:
-            fired = None if i == readout else np.empty(u.shape, dtype=bool)
-            _lif_scan(u, fired, v * decay, p.threshold, decay, p.reset_value * decay)
-            out = u if fired is None else fired.astype(np.float64)
-            if Tw:
-                v = u[-1] if fired is None else np.where(fired[-1], p.reset_value, u[-1])
-        else:
-            out = np.empty_like(u)
-            for ut, st in zip(u, out):
-                ut += v * decay
-                s = _sigmoid((ut - p.threshold) / width)
-                st[...] = s
-                v = ut * (1.0 - s) + p.reset_value * s
-        acts.append(out)
-        membranes.append(u)
-        final_state.append(v)
-    return acts, membranes, final_state
+    for d, v in zip(ws.d, state):
+        np.multiply(v, p.decay, out=d)
+    acts, membranes = _forward_window(net, ws, x, mode, width, effective)
+    if not Tw:
+        return acts, membranes, [np.array(v, dtype=np.float64) for v in state]
+    final_state = [np.where(s[-1] != 0, p.reset_value, u[-1]) if mode == SPIKING
+                   else u[-1] * (1.0 - s[-1]) + p.reset_value * s[-1]
+                   for u, s in zip(membranes[:-1], acts[1:-1])]
+    return acts, membranes, final_state + [membranes[-1][-1].copy()]
 
 
 def _forward_sequences(net: Network, sequences) -> ActivationRecord:
@@ -407,10 +471,16 @@ def _wavefront(net: Network, w_t, xs, starts, record: ActivationRecord) -> None:
     inputs = np.empty((Tw, B, max(dims[:-1])))  # a layer's input spikes as float64
     current = np.empty((Tw, B, max(dims[1:])))
 
+    views = {}  # the per-step views of each row and column range the scan runs
+
     def scan(rows, c0, c1):
-        cols = slice(c0, c1)
-        _lif_scan(u[rows, cols], None if c0 >= readout else fired[rows, cols],
-                  d[cols], threshold[cols], p.decay, p.reset_value * p.decay)
+        key = (rows.start, rows.stop, c0, c1)
+        if key not in views:
+            cols = slice(c0, c1)
+            views[key] = (list(u[rows, cols]),
+                          None if c0 >= readout else list(fired[rows, cols]),
+                          d[cols], threshold[cols])
+        _lif_scan(*views[key], p.decay, p.reset_value * p.decay)
 
     for stage in range(n_windows + n_layers - 1):
         first = max(0, stage - n_windows + 1)

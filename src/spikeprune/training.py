@@ -34,6 +34,16 @@ with the bits of a layer-by-layer step:
   included: decay·c cannot overflow (decay <= 1), and a product with +0.0
   takes the sign of c either way. DIFFERENTIABLE mode keeps the three-term
   step, its s being a sigmoid.
+- A workspace per length group. train_epoch makes one _TrainWorkspace per
+  group of equal-length segments, sized [batch_length x B x H] per layer:
+  the membranes, fired flags and float spikes, du, dk, the readout error,
+  the C-contiguous W^T, and the per-step views the forward and reverse
+  scans iterate, made once. The window's GEMMs write into it with
+  matmul(out=), a tail window uses its first n steps, and it carries the
+  membranes from window to window. compute_gradients makes one for its
+  single window, so both run the same code. A SPIKING window's forward
+  and backward passes allocate no array, and the same operations on the
+  same values give the same bits.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (SPIKING, LifParams, Network, NetworkConfig, _forward_sequences,
-                      forward_window)
+                      _forward_window, _Workspace, forward_window)
 
 __all__ = [
     "TrainConfig",
@@ -79,10 +89,19 @@ class TrainConfig:
             raise ValueError("surrogate_width must be > 0")
 
 
-def surrogate_spike_grad(u, params: LifParams, width: float):
-    """Triangular stand-in for d(spike)/d(membrane), peak 1/width at threshold."""
+def surrogate_spike_grad(u, params: LifParams, width: float, out=None):
+    """Triangular stand-in for d(spike)/d(membrane), peak 1/width at threshold.
+
+    Written into out when given (an array shaped like u).
+    """
     u = np.asarray(u, dtype=np.float64)
-    return np.maximum(0.0, 1.0 - np.abs(u - params.threshold) / width) / width
+    g = np.subtract(u, params.threshold, out=np.empty_like(u) if out is None else out)
+    np.abs(g, out=g)
+    g /= width
+    np.subtract(1.0, g, out=g)
+    np.maximum(0.0, g, out=g)
+    g /= width
+    return g
 
 
 def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -95,57 +114,93 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
-def _backward_window(net: Network, acts, membranes, truth: np.ndarray,
-                     mode: str, width: float, effective, grads) -> None:
+class _TrainWorkspace(_Workspace):
+    """A _Workspace plus _backward_window's buffers.
+
+    Per layer: du [Tw x B x H], first the error arriving from the layer
+    above, then the membrane gradient, with its per-step views in reverse
+    order; per hidden layer dk = decay·(1 - s), first the surrogate; the
+    readout's error, and one [B x H] carry product per layer. train_epoch
+    builds one per length group, compute_gradients one for its window.
+    """
+
+    def __init__(self, dims, Tw: int, B: int):
+        super().__init__(dims, Tw, B)
+        self.err = np.empty((Tw, B, dims[-1]))
+        self.du = [np.empty(u.shape) for u in self.u]
+        self.dk = [np.empty(u.shape) for u in self.u[:-1]]
+        self.du_r = [list(du)[::-1] for du in self.du]
+        self.dk_r = [list(dk)[::-1] for dk in self.dk]
+        self.carry = [np.empty(d.shape) for d in self.d]
+        self.zero = [np.zeros(d.shape) for d in self.d]
+
+
+def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: np.ndarray,
+                     mode: str, width: float, effective, grads) -> float:
     """Write the window-MSE gradient of every weight matrix into grads.
 
-    acts and membranes are what forward_window returned for the window, and
-    effective the weights·mask it ran with; grads[i] gets layer i's
-    gradient, unmasked. Layer-major, from the readout down: each layer runs
-    a reverse elementwise scan over the window, and one GEMM carries its
-    membrane gradients to the layer below. A SPIKING hidden layer's scan is
+    acts and membranes are what forward_window returned for the window, run
+    in ws, and effective the weights·mask it ran with; grads[i] gets layer
+    i's gradient, unmasked. Returns the window's summed squared error.
+    Layer-major, from the readout down: each layer runs a reverse
+    elementwise scan over the window, and one GEMM carries its membrane
+    gradients to the layer below. A SPIKING hidden layer's scan is
     c = x[t] + c·dk[t], with x the error arriving from above times the
     surrogate and dk = decay·(1 - s) taken once per window (module
     docstring).
     """
-    Tw, B = truth.shape[0], truth.shape[1]
+    n, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
     p = net.config.lif
     decay = p.decay
+    add, multiply = np.add, np.multiply
     pred = acts[-1]
-    src = (pred - truth) * (2.0 / pred.size)
+    err = ws.err[:n]
+    np.subtract(pred, truth, out=err)
+    du = ws.du[-1][:n]
+    np.square(err, out=du)
+    sse = float(np.sum(du))
+    multiply(err, 2.0 / pred.size, out=du)
+    skip = ws.Tw - n  # the reversed views of the window's n steps
     for i in range(n_layers - 1, -1, -1):
         u = membranes[i]
-        c = np.zeros_like(u[0])
+        du = ws.du[i][:n]  # holds the error arriving from above
+        du_r = ws.du_r[i][skip:]
+        c = ws.zero[i]
+        carry = ws.carry[i]
         if i == n_layers - 1:
             # readout: the membrane feeds the loss directly and the next step
-            du = src
-            for du_t in du[::-1]:
-                du_t += decay * c
+            for du_t in du_r:
+                multiply(c, decay, carry)
+                add(du_t, carry, du_t)
                 c = du_t
         elif mode == SPIKING:
             s = acts[i + 1]
-            du = src * surrogate_spike_grad(u, p, width)
-            dk = decay * (1.0 - s)
-            for du_t, dk_t in zip(du[::-1], dk[::-1]):
-                du_t += c * dk_t
+            dk = ws.dk[i][:n]
+            du *= surrogate_spike_grad(u, p, width, out=dk)
+            np.subtract(1.0, s, out=dk)
+            dk *= decay
+            for du_t, dk_t in zip(du_r, ws.dk_r[i][skip:]):
+                multiply(c, dk_t, carry)
+                add(du_t, carry, du_t)
                 c = du_t
         else:
             s = acts[i + 1]
             g = s * (1.0 - s) / width
-            du = src * g
+            du *= g
             keep = 1.0 - s
             # reset path differentiated too: v = u(1-s) + r*s
             reset_gap = p.reset_value - u
-            for du_t, kt, rt, gt in zip(du[::-1], keep[::-1], reset_gap[::-1], g[::-1]):
+            for du_t, kt, rt, gt in zip(du_r, keep[::-1], reset_gap[::-1], g[::-1]):
                 dc = decay * c
                 du_t += dc * kt
                 du_t += dc * rt * gt
                 c = du_t
-        du = du.reshape(Tw * B, -1)
+        du = du.reshape(n * B, -1)
         if i > 0:
-            src = (du @ effective[i]).reshape(Tw, B, -1)
-        np.matmul(du.T, acts[i].reshape(Tw * B, -1), out=grads[i])
+            np.matmul(du, effective[i], out=ws.du[i - 1][:n].reshape(n * B, -1))
+        np.matmul(du.T, acts[i].reshape(n * B, -1), out=grads[i])
+    return sse
 
 
 def _layer_views(flat: np.ndarray, layers) -> list[np.ndarray]:
@@ -212,13 +267,14 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
     effective = [layer.effective() for layer in net.layers]
+    ws = _TrainWorkspace(net.config.layer_dims, x.shape[0], 1)
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
-                                                  mode, width, effective)
+                                                  mode, width, effective, ws)
     loss = mse_loss(acts[-1][:, 0, :], y)
     mask = _flat_mask(net)
     g = np.empty_like(mask)
     grads = _layer_views(g, net.layers)
-    _backward_window(net, acts, membranes, y[:, None, :], mode, width, effective, grads)
+    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, width, effective, grads)
     g *= mask
     return loss, grads, [s[0] for s in final_state]
 
@@ -241,13 +297,14 @@ class AdamOptimizer:
         """One Adam update of every weight, in place, from per-layer grads.
 
         It runs once over all layers: the weights as _flat_weights, the
-        gradients as the flat vector they view (train_epoch's and
-        compute_gradients' do) or else a flat copy, the moments flat.
+        gradients as the flat vector they view, the moments flat. grads must
+        be _layer_views of one flat vector, as train_epoch's and
+        compute_gradients' are.
         """
         w = _flat_weights(net)
         g = _flat_of(grads)
         if g is None:
-            g = np.concatenate([np.ravel(x) for x in grads])
+            raise ValueError("grads must be the _layer_views of one flat vector")
         if self._m is None:
             self._m = np.zeros_like(g)
             self._v = np.zeros_like(g)
@@ -302,17 +359,16 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     total_n = 0
     for length, group in groups.items():
         x, y = _batch_group(group)
-        state = [np.zeros((len(group), net.config.layer_dims[i + 1]))
-                 for i in range(net.config.n_layers)]
+        # its membranes start at zero and carry from window to window
+        ws = _TrainWorkspace(net.config.layer_dims, min(cfg.batch_length, length), len(group))
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
             np.multiply(w, mask, out=eff)
-            acts, membranes, state = forward_window(net, x[lo:hi], state, SPIKING,
-                                                    cfg.surrogate_width, effective)
-            _backward_window(net, acts, membranes, y[lo:hi], SPIKING,
-                             cfg.surrogate_width, effective, grads)
+            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING,
+                                              cfg.surrogate_width, effective)
+            total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING,
+                                         cfg.surrogate_width, effective, grads)
             g *= mask
-            total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
             total_n += acts[-1].size
             optimizer.step(net, grads)
             np.putmask(w, zero, 0.0)

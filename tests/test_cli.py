@@ -162,7 +162,11 @@ class TestConfigFuzz:
         """Every numeric key of the schema set to 0 and to -1, and
         network.hidden to a list with a 0, one with a negative width and an
         empty list: synth, pretrain, prune and eval each exit 0, 2, 3 or 4,
-        never with a traceback."""
+        never with a traceback. A synth.mixing_density outside [0, 1] and a
+        synth.dt_ms <= 0 are config errors: synth exits 2 and writes no
+        session."""
+        config_errors = [(("synth", "mixing_density"), -1), (("synth", "dt_ms"), 0),
+                         (("synth", "dt_ms"), -1)]
         finetune = {k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "max_epochs"}
         schema = dict(DEFAULT_CONFIG, finetune=finetune)
         paths = [(k,) for k, v in schema.items() if _is_number(v)]
@@ -201,6 +205,10 @@ class TestConfigFuzz:
                 assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED), (path, value)
                 assert "Traceback" not in err
                 codes.add(code)
+                if argv == ["synth"] and (path, value) in config_errors:
+                    assert code == EXIT_CONFIG, (path, value)
+                    assert err.startswith(f"config error: {path[-1]} must be"), err
+                    assert not (case / "unit.spk").exists()
         assert len(paths) == 26 and len(cases) == 55
         assert {EXIT_OK, EXIT_CONFIG, EXIT_DATA} <= codes
 

@@ -243,8 +243,8 @@ class TestSegmentEvaluation:
                  for lo in range(0, 50_000, 10_000)]
         segs = [split["test"][0], *extra[:2], *split["test"][1:], *extra[2:]]
         assert len(extra) > _EVAL_BATCH
-        assert [s.timesteps for s in segs] == [3750, 1001, 1001, 3751, 3751, 3751, 1001,
-                                               1001, 1001]
+        w = _EVAL_WINDOW + 1
+        assert [s.timesteps for s in segs] == [3750, w, w, 3751, 3751, 3751, w, w, w]
         net = Network.from_config(NetworkConfig.snn3(96, seed=4), init_scale=2.0)
         net.layers[1].mask[::3] = 0
         net.apply_masks()

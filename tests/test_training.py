@@ -25,6 +25,7 @@ from spikeprune.training import (
     train_epoch,
     validate,
 )
+from spikeprune.training import _layer_views
 
 
 def random_tiny_net(rng, max_width=3, init_scale=1.5):
@@ -195,8 +196,9 @@ class TestTrainEpoch:
         (4, 0.0, 0.3, True),
     ], ids=["B1-dense", "B3-masked-reset0.3-adam-reset", "B4-masked", "B4-reset0.3-adam-reset"])
     def test_matches_per_layer_step_bit_for_bit(self, B, masked, reset_value, adam_reset):
-        # the flat optimizer pass, the two-call reverse scan and the cached
-        # zero-mask change no bit of the per-layer step, sign bits included
+        # the flat optimizer pass, the two-call reverse scan, the cached
+        # zero-mask and the per-group workspace change no bit of the
+        # per-layer step, sign bits included
         rng = np.random.default_rng(B)
         lif = LifParams(tau=4.0, reset_value=reset_value)
         net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=B, lif=lif),
@@ -208,17 +210,27 @@ class TestTrainEpoch:
         ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
                                    for l in net.layers])
         start = [l.weights.copy() for l in net.layers]
-        segs = [SpikeSession(spikes=(rng.random((57, 6)) < 0.5).astype(np.uint8),
-                             velocity=rng.normal(size=(57, 2)), dt_ms=1.0)
-                for _ in range(B)]
+
+        def sessions(*lengths):
+            return [SpikeSession(spikes=(rng.random((T, 6)) < 0.5).astype(np.uint8),
+                                 velocity=rng.normal(size=(T, 2)), dt_ms=1.0)
+                    for T in lengths]
+
+        segs = sessions(*[57] * B)
+        # two length groups, B = 3 and B = 1: a workspace per group shape, the
+        # second one step shorter than a window
+        mixed = sessions(57, 9, 57, 57)
         tc = TrainConfig(learning_rate=5e-3, batch_length=10)  # a 7-step tail window
         opt, ref_opt = AdamOptimizer(tc.learning_rate), PerLayerAdam(tc.learning_rate)
-        for epoch in range(2):
+        for epoch, epoch_segs in enumerate((segs, segs, mixed)):
             if epoch and adam_reset:
                 opt.reset()
                 ref_opt.reset()
-            assert_same_bits(train_epoch(net, segs, tc, opt),
-                             per_layer_train_epoch(ref, segs, tc, ref_opt))
+            if epoch:
+                # the layers get arrays of their own: no weight view may outlive it
+                net.restore(net.snapshot())
+            assert_same_bits(train_epoch(net, epoch_segs, tc, opt),
+                             per_layer_train_epoch(ref, epoch_segs, tc, ref_opt))
         for layer, ref_layer, w0 in zip(net.layers, ref.layers, start):
             assert_same_bits(layer.weights, ref_layer.weights)
             assert not np.array_equal(layer.weights[layer.mask == 1], w0[layer.mask == 1])
@@ -372,7 +384,7 @@ class TestOptimizers:
     def test_adam_reset_clears_state(self):
         net = Network.from_config(NetworkConfig.snn3(3, hidden=(2, 2, 2), seed=0))
         opt = AdamOptimizer(lr=1e-3)
-        grads = [np.ones_like(l.weights) for l in net.layers]
+        grads = _layer_views(np.ones(net.config.synapse_count()), net.layers)
         opt.step(net, grads)
         assert opt._t == 1
         opt.reset()
