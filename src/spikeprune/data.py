@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -254,11 +255,13 @@ def generate_synthetic(seed: int, channels: int, T: int, rate: float,
     b = 1.0 - alpha
     drive = spikes.astype(np.float64) @ mixing.T
     # the filter x = alpha·x + b·dx, in Python floats: the same IEEE
-    # operations as in numpy, without a numpy call per step; C order, as
-    # std's summation order depends on it
-    velocity = np.ascontiguousarray(np.array(
-        [list(accumulate(column, lambda x, dx: alpha * x + b * dx, initial=0.0))[1:]
-         for column in drive.T.tolist()]).T)
+    # operations as in numpy, without a numpy call per step. array("d")
+    # holds 8 bytes a value, where a list of floats holds 32.
+    velocity = np.empty((T, 2))
+    for k in range(2):
+        filtered = array("d", accumulate(array("d", drive[:, k].tobytes()),
+                                         lambda x, dx: alpha * x + b * dx, initial=0.0))
+        velocity[:, k] = np.frombuffer(filtered)[1:]
     std = velocity.std(axis=0)
     for k in range(2):
         if std[k] > 0:
