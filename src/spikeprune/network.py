@@ -312,7 +312,7 @@ class _Workspace:
     """
 
     def __init__(self, dims, Tw: int, B: int):
-        self.Tw, self.B = Tw, B
+        self.Tw = Tw
         shapes = [(Tw, B, h) for h in dims[1:]]
         self.w_t = [np.empty((k, h)) for k, h in zip(dims[:-1], dims[1:])]
         self.u = [np.empty(shape) for shape in shapes]
