@@ -84,7 +84,7 @@ def activation_sparsity(record: ActivationRecord) -> float:
     if record.timesteps == 0:
         raise ValueError("empty activation record")
     groups = [record.input_spikes, *record.hidden_spikes, record.output_membrane]
-    zeros = sum(int(np.count_nonzero(a == 0)) for a in groups)
+    zeros = sum(a.size - int(np.count_nonzero(a)) for a in groups)
     return zeros / sum(a.size for a in groups)
 
 

@@ -24,27 +24,31 @@ membranes carried to the next window, made once for many windows of one
 shape (training makes one per length group), so a training window
 allocates no array and the scans are its only per-step cost.
 
-Eval and validation share one driver, `_forward_sequences`: it groups
-sequences by length and runs each group in batches of up to _EVAL_BATCH
-sequences, in fixed windows of _EVAL_WINDOW timesteps with the state carried
-across. Each layer's current is one [Tw x K] GEMM per sequence: BLAS picks
-its GEMM kernel by the shape of the call, and different kernels round a row
-differently in the last bit, so a GEMM pooled over a batch could give a
-sequence other bits than it gets alone. The driver is a wavefront over the
-windows: at stage s, connection layer l runs window s - l, whose input the
-layer below made at stage s - 1. All layers in flight then advance in one
-scan over stage buffers that stack their neurons as columns, [Tw x ΣH x B];
-the readout columns have a NaN threshold, so they never fire and their
-update stays u = I + decay·u. When the lowest layer in flight is on a short
-final window, the scan drops its columns once that window ends. The GEMMs
-have the shapes of a B=1 run and the scan is elementwise, so a sequence's
-bits depend neither on B nor on which layers share its scan: eval is
-reproducible bit for bit per segment, and the validation loss is the MSE of
-exactly eval's prediction. At most n_layers windows are in flight, in
-buffers allocated once per batch, so memory stays bounded on long sessions.
-The windows are short (_EVAL_WINDOW): the wavefront's pipeline fill scans
-(n_layers - 1)·Tw extra rows per batch, and short windows keep the stage
-buffers in cache. `network_forward` is the one-sequence case.
+Eval and validation share one driver, `_forward_sequences`: one wavefront
+over fixed windows of _EVAL_WINDOW timesteps, on up to _EVAL_LANES lanes.
+Sequences are packed longest first onto the lane with the fewest windows;
+a lane runs its sequences back to back, each from a window boundary, and
+carries the state across its windows. Each layer's current is one [n x K]
+GEMM per window of a sequence: BLAS picks its GEMM kernel by the shape of
+the call, and different kernels round a row differently in the last bit,
+so a GEMM pooled over lanes could give a sequence other bits than it gets
+alone. At stage s, connection layer l runs window s - l of every lane,
+whose input the layer below made at stage s - 1; a sequence's first window
+zeroes the layer's membranes on its lane. The GEMMs write their currents
+straight into stage buffers [Tw x B x ΣH] that stack every layer's neurons
+as columns, and one scan advances every column of every lane; the readout
+columns have a NaN threshold, so they never fire and their update stays
+u = I + decay·u. Rows no GEMM writes in a stage (the tail of a short window,
+an idle lane, a layer not in flight) are zeroed, so the scan only decays
+their membranes. The GEMMs have the shapes of a B=1 run and the scan is
+elementwise, so a sequence's bits depend neither on its lane nor on the
+sequences and layers sharing its scan: eval is reproducible bit for bit
+per segment, and the validation loss is the MSE of exactly eval's
+prediction. At most n_layers windows per lane are in flight, in buffers
+allocated once per call, so memory stays bounded on long sessions. The
+windows are short (_EVAL_WINDOW): the wavefront's pipeline fill scans
+(n_layers - 1)·Tw extra rows, and short windows keep the stage buffers in
+cache. `network_forward` is the one-sequence case.
 """
 
 from __future__ import annotations
@@ -67,19 +71,20 @@ __all__ = [
 SPIKING = "spiking"
 DIFFERENTIABLE = "differentiable"
 
-# Timesteps per window in eval and validation. It bounds their memory: a
-# batch holds one window of every layer in flight, however long the
-# sequences are. Short windows cost less: the wavefront's pipeline fill
-# scans (n_layers - 1)·Tw extra rows per batch (3,000 on a 1,250-step
-# validation segment at 1000 steps), and at 128 steps a batch of 4 at 96
-# channels has 1.3 MB of stage buffers, not 10 MB, and every GEMM stays
-# under 10^6 multiply-adds (README "Determinism"). A sweep over 64 to 256
-# steps found 128 fastest on eval and validate (ROADMAP, Settled).
+# Timesteps per window in eval and validation. It bounds their memory: the
+# wavefront holds one window per lane of every layer in flight, however long
+# the sequences are. Short windows cost less: the wavefront's pipeline fill
+# scans (n_layers - 1)·Tw extra rows (3,000 on a 1,250-step validation
+# segment at 1000 steps), at 128 steps 8 lanes at 96 channels have 3.4 MB of
+# stage buffers, and every GEMM stays under 10^6 multiply-adds (README
+# "Determinism"). A sweep over 64 to 256 steps found 128 fastest on eval and
+# validate (ROADMAP, Settled).
 _EVAL_WINDOW = 128
-# Most equal-length sequences eval and validation run together. At 96 input
-# channels a batch of 8 raised the eval peak RSS by 26 MB and ran no faster
-# than two batches of 4.
-_EVAL_BATCH = 4
+# Most lanes eval and validation run side by side. More lanes make each
+# scan step wider, so it costs less per lane-step, but lanes left idle once
+# the shorter ones run out still cost their scan; a sweep over 4 to 16 lanes
+# found 8 fastest on eval (ROADMAP, Settled).
+_EVAL_LANES = 8
 
 
 @dataclass(frozen=True)
@@ -412,17 +417,18 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
 
     sequences are time-major [T x input_dim] arrays. The record holds them
     end to end in the given order, so its output_membrane is the prediction
-    of every sequence concatenated. Equal-length sequences advance together,
-    up to _EVAL_BATCH at a time, in windows of _EVAL_WINDOW timesteps as a
-    wavefront over the layers (module docstring); a sequence's bits do not
-    depend on which others share its batch.
+    of every sequence concatenated. They run on up to _EVAL_LANES lanes, in
+    windows of _EVAL_WINDOW timesteps, as one wavefront over the layers
+    (module docstring); a sequence's bits do not depend on its lane or on
+    the sequences beside it.
     """
     dims = net.config.layer_dims
     sequences = [np.asarray(s) for s in sequences]
     for s in sequences:
         if s.ndim != 2 or s.shape[1] != dims[0]:
             raise ValueError(f"expected [T x {dims[0]}] input, got shape {s.shape}")
-    starts = np.cumsum([0] + [s.shape[0] for s in sequences]).tolist()
+    lengths = [s.shape[0] for s in sequences]
+    starts = np.cumsum([0] + lengths).tolist()
     total = starts[-1]
     record = ActivationRecord(
         input_spikes=np.empty((total, dims[0]), dtype=np.uint8),
@@ -430,86 +436,80 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
         output_membrane=np.empty((total, dims[-1])),
         timesteps=total,
     )
-    groups: dict[int, list[int]] = {}
     for k, s in enumerate(sequences):
         record.input_spikes[starts[k]:starts[k + 1]] = s != 0
-        if s.shape[0]:
-            groups.setdefault(s.shape[0], []).append(k)
-    # C-contiguous W^T, as in forward_window
-    w_t = [layer.effective().T.copy() for layer in net.layers]
-    for group in groups.values():
-        for c in range(0, len(group), _EVAL_BATCH):
-            members = group[c:c + _EVAL_BATCH]
-            _wavefront(net, w_t, [sequences[k] for k in members],
-                       [starts[k] for k in members], record)
+    if not total:
+        return record
+    # a lane runs its sequences' windows back to back, (k, lo, n) each: the
+    # longest first, onto the lane with the fewest windows
+    Tw = min(_EVAL_WINDOW, max(lengths))
+    lanes = [[] for _ in range(min(_EVAL_LANES, sum(T > 0 for T in lengths)))]
+    for k in sorted(range(len(sequences)), key=lambda k: -lengths[k]):
+        min(lanes, key=len).extend((k, lo, min(Tw, lengths[k] - lo))
+                                   for lo in range(0, lengths[k], Tw))
+    _wavefront(net, sequences, starts, lanes, Tw, record)
     return record
 
 
-def _wavefront(net: Network, w_t, xs, starts, record: ActivationRecord) -> None:
-    """Run B equal-length sequences, writing their rows of record from starts.
+def _wavefront(net: Network, sequences, starts, lanes, Tw: int,
+               record: ActivationRecord) -> None:
+    """Run every lane's windows, writing each sequence's rows of record.
 
-    At stage s connection layer l runs window s - l, so the lowest layer in
-    flight runs the latest window, the only one that can be short. Each
-    layer's current is one [n x K] GEMM per sequence, the shapes of a B=1
-    run; then one _lif_scan advances every layer in flight.
+    At stage s connection layer l runs window s - l of every lane that has
+    one. Its current is one [n x K] GEMM per window, the shape of a B=1 run,
+    written into the layer's columns of u; a sequence's first window zeroes
+    the layer's carried membranes on its lane. Then one _lif_scan advances
+    every column of every lane.
     """
     dims = net.config.layer_dims
     n_layers = net.config.n_layers
     p = net.config.lif
-    T, B = xs[0].shape[0], len(xs)
-    Tw = min(T, _EVAL_WINDOW)
-    n_windows = -(-T // Tw)
-    # layer l's neurons are the columns off[l]:off[l + 1] of the stage buffers
+    decay = p.decay
+    B = len(lanes)
+    # layer l's neurons are the columns off[l]:off[l + 1] of the stage
+    # buffers; its input, as float64, the columns ins[l]:ins[l + 1] of a
     off = np.cumsum([0, *dims[1:]]).tolist()
-    readout = off[-2]
-    u = np.empty((Tw, off[-1], B))
-    fired = np.empty((Tw, off[-1], B), dtype=bool)
+    ins = np.cumsum([0, *dims[:-1]]).tolist()
+    u = np.empty((Tw, B, off[-1]))
+    fired = np.empty((Tw, B, off[-1]), dtype=bool)
     spikes = fired.view(np.uint8)  # numpy casts uint8 to float64 faster than bool
-    d = np.zeros((off[-1], B))  # decayed membranes, carried from window to window
-    threshold = np.full((off[-1], B), p.threshold)
-    threshold[readout:] = np.nan  # the readout never fires
-    inputs = np.empty((Tw, B, max(dims[:-1])))  # a layer's input spikes as float64
-    current = np.empty((Tw, B, max(dims[1:])))
+    a = np.empty((Tw, B, ins[-1]))
+    d = np.zeros((B, off[-1]))  # decayed membranes, carried from window to window
+    threshold = np.full((B, off[-1]), p.threshold)
+    threshold[:, off[-2]:] = np.nan  # the readout never fires
+    u_t, fired_t = list(u), list(fired)
+    # C-contiguous W^T, as in forward_window
+    w_t = [layer.effective().T.copy() for layer in net.layers]
 
-    views = {}  # the per-step views of each row and column range the scan runs
-
-    def scan(rows, c0, c1):
-        key = (rows.start, rows.stop, c0, c1)
-        if key not in views:
-            cols = slice(c0, c1)
-            views[key] = (list(u[rows, cols]),
-                          None if c0 >= readout else list(fired[rows, cols]),
-                          d[cols], threshold[cols])
-        _lif_scan(*views[key], p.decay, p.reset_value * p.decay)
-
-    for stage in range(n_windows + n_layers - 1):
-        first = max(0, stage - n_windows + 1)
-        last = min(n_layers - 1, stage)
-        spans = []
-        for l in range(first, last + 1):
-            lo = (stage - l) * Tw
-            n = min(Tw, T - lo)
-            spans.append((l, lo, n))
-            a = inputs[:n, :, :dims[l]]
-            if l == 0:
-                for b, x in enumerate(xs):
-                    a[:, b] = x[lo:lo + n]
-            else:
-                # the spikes layer l - 1 made for this window last stage
-                np.copyto(a.transpose(0, 2, 1), spikes[:n, off[l - 1]:off[l]])
-            g = current[:n, :, :dims[l + 1]]
-            np.matmul(a.transpose(1, 0, 2), w_t[l], out=g.transpose(1, 0, 2))
-            np.copyto(u[:n, off[l]:off[l + 1]], g.transpose(0, 2, 1))
-        # once the lowest layer's short window ends, the layers above run on
-        n_first = spans[0][2]
-        scan(slice(0, n_first), off[first], off[last + 1])
-        if n_first < Tw and first < last:
-            scan(slice(n_first, Tw), off[first + 1], off[last + 1])
-        for l, lo, n in spans:
+    for stage in range(max(map(len, lanes)) + n_layers - 1):
+        # the spikes each hidden layer made last stage: the input of the layer above
+        np.copyto(a[:, :, dims[0]:], spikes[:, :, :off[-2]])
+        runs = []
+        for l in range(n_layers):
+            cols, x = slice(off[l], off[l + 1]), a[:, :, ins[l]:ins[l + 1]]
+            w = stage - l
+            run = [(b, lane[w]) for b, lane in enumerate(lanes) if 0 <= w < len(lane)]
+            runs.append(run)
+            for b, (k, lo, n) in run:
+                if l == 0:
+                    x[:n, b] = sequences[k][lo:lo + n]
+                if not lo:
+                    d[b, cols] = 0.0
+            if len(run) == B and all(n == Tw for _, (_, _, n) in run):
+                np.matmul(x.transpose(1, 0, 2), w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
+                continue
+            # rows no GEMM writes are zero, so the scan only decays their
+            # membranes; stale rows would be added in again at every stage
+            u[:, :, cols] = 0.0
+            for b, (k, lo, n) in run:
+                np.matmul(x[:n, b], w_t[l], out=u[:n, b, cols])
+        _lif_scan(u_t, fired_t, d, threshold, decay, p.reset_value * decay)
+        for l, run in enumerate(runs):
+            cols = slice(off[l], off[l + 1])
             src = u if l == n_layers - 1 else spikes
             dst = record.output_membrane if l == n_layers - 1 else record.hidden_spikes[l]
-            for b, k0 in enumerate(starts):
-                dst[k0 + lo:k0 + lo + n] = src[:n, off[l]:off[l + 1], b]
+            for b, (k, lo, n) in run:
+                dst[starts[k] + lo:starts[k] + lo + n] = src[:n, b, cols]
 
 
 def network_forward(net: Network, spikes: np.ndarray):

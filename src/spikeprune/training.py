@@ -378,8 +378,8 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
 def validate(net: Network, segments) -> float:
     """Forward-only MSE over the given segments; no state is mutated.
 
-    It is mse_loss of eval's prediction: the same grouped per-sequence
-    forward, concatenated in segment order.
+    It is mse_loss of eval's prediction: the same lane-packed wavefront,
+    with the GEMMs of each segment run alone, concatenated in segment order.
     """
     segments = list(segments)
     if not any(seg.timesteps for seg in segments):

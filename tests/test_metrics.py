@@ -12,7 +12,7 @@ from spikeprune.metrics import (
     r_squared,
 )
 from spikeprune.network import (
-    _EVAL_BATCH,
+    _EVAL_LANES,
     _EVAL_WINDOW,
     ActivationRecord,
     LifParams,
@@ -124,6 +124,11 @@ class TestActivationSparsity:
                                np.array([[0.0, 0.0]]), timesteps=1)
         assert activation_sparsity(rec) == 3 / 6
 
+    def test_negative_zero_is_zero_and_nan_is_not(self):
+        rec = ActivationRecord(np.array([[0, 1]], dtype=np.uint8), [],
+                               np.array([[-0.0, np.nan]]), timesteps=1)
+        assert activation_sparsity(rec) == 2 / 4
+
     def test_empty_record_raises(self):
         rec = ActivationRecord(np.zeros((0, 2), dtype=np.uint8), [],
                                np.zeros((0, 2)), timesteps=0)
@@ -231,18 +236,19 @@ class TestSegmentEvaluation:
         assert record.output_membrane.shape == (total, 2)
 
     def test_grouped_eval_equals_per_segment_eval(self):
-        """Equal-length segments run together; every output must equal the
-        same segment run alone. T=60,003 splits its test part into one 3750-
-        and three 3751-step segments (a group of size 1 and one of 3), both
-        longer than the eval window; five more segments are one step longer
-        than the window, more than one batch. At 96 channels a GEMM pooled
-        over a batch would round other bits than the per-segment one."""
+        """Segments share the eval wavefront on lanes; every output must
+        equal the same segment run alone. T=60,003 splits its test part into
+        one 3750- and three 3751-step segments, both longer than the eval
+        window; five more segments are one step longer than the window, so
+        there are more segments than lanes and one lane runs two of them
+        back to back. At 96 channels a GEMM pooled over lanes would
+        round other bits than the per-segment one."""
         session = generate_synthetic(seed=4, channels=96, T=60_003, rate=0.3)
         split = split_session(session)
         extra = [session.slice(lo, lo + _EVAL_WINDOW + 1, f"/w{lo}")
                  for lo in range(0, 50_000, 10_000)]
         segs = [split["test"][0], *extra[:2], *split["test"][1:], *extra[2:]]
-        assert len(extra) > _EVAL_BATCH
+        assert len(segs) > _EVAL_LANES
         w = _EVAL_WINDOW + 1
         assert [s.timesteps for s in segs] == [3750, w, w, 3751, 3751, 3751, w, w, w]
         net = Network.from_config(NetworkConfig.snn3(96, seed=4), init_scale=2.0)

@@ -285,15 +285,28 @@ class TestWindowing:
                                        rtol=1e-12, atol=0)
 
 
+def windowed_forward(net, x, Tw):
+    """x [T x input_dim] through B=1 forward_window windows of Tw steps, the
+    state carried; returns every layer's output, [T x H] each."""
+    state = [np.zeros((1, d)) for d in net.config.layer_dims[1:]]
+    windows = []
+    for lo in range(0, len(x), Tw):
+        acts, _, state = forward_window(net, x[lo:lo + Tw, None, :].astype(np.float64), state)
+        windows.append(acts[1:])
+    return [np.concatenate(layer)[:, 0] for layer in zip(*windows)]
+
+
 class TestEvalDriver:
     """_forward_sequences against B=1 forward_window windows, state carried.
 
-    With a 5-step window and 4 connection layers, lengths 7, 18 and 33 span
-    fewer windows than there are layers, as many, and more, each ending in
-    a short window; the groups hold 1, 4 and 5 sequences, and one sequence
-    is empty. The readout is driven past the threshold with a nonzero reset
-    value, so a readout that fired, or a layer that lost its membranes
-    between windows, would change the bits."""
+    With a 5-step window, the lengths 0, 1, Tw - 1, Tw, Tw + 1 and 3·Tw + 2
+    span no window, one, two, and as many as the 4 connection layers,
+    ending in short and full windows. There are more segments than lanes,
+    so lanes run several segments of mixed length back to back, each from
+    zero membranes. The readout is driven past the threshold with a nonzero
+    reset value, so a readout that fired, or a layer that lost its
+    membranes between windows or kept them across segments, would change
+    the bits."""
 
     def test_matches_windowed_kernel_and_scalar_reference(self, monkeypatch):
         monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
@@ -302,7 +315,8 @@ class TestEvalDriver:
                                   init_scale=3.0)
         net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) + 0.5
         rng = np.random.default_rng(8)
-        lengths = [18, 33, 7, 18, 33, 0, 33, 18, 33, 18, 33]
+        lengths = [17, 6, 0, 5, 4, 1, 17, 6, 1, 4, 5, 17, 1, 6, 0, 4]
+        assert sum(T > 0 for T in lengths) > network._EVAL_LANES
         seqs = [(rng.random((T, 3)) < 0.5).astype(np.uint8) for T in lengths]
         record = network._forward_sequences(net, seqs)
 
@@ -311,18 +325,12 @@ class TestEvalDriver:
             T = len(x)
             rows = slice(at, at + T)
             at += T
-            state = [np.zeros((1, d)) for d in net.config.layer_dims[1:]]
-            windows = []
-            for lo in range(0, T, 5):
-                acts, _, state = forward_window(
-                    net, x[lo:lo + 5, None, :].astype(np.float64), state)
-                windows.append(acts)
             if not T:
                 assert record.output_membrane[rows].shape == (0, 2)
                 continue
-            acts = [np.concatenate(layer)[:, 0] for layer in zip(*windows)]
+            acts = windowed_forward(net, x, 5)
             assert np.array_equal(record.input_spikes[rows], x)
-            for h, a in zip(record.hidden_spikes, acts[1:-1]):
+            for h, a in zip(record.hidden_spikes, acts[:-1]):
                 assert np.array_equal(h[rows], a)
             assert np.array_equal(record.output_membrane[rows], acts[-1])
             assert (record.output_membrane[rows] >= p.threshold).any()
@@ -334,6 +342,30 @@ class TestEvalDriver:
                                        rtol=1e-12, atol=0)
         assert at == record.timesteps
         assert all(h.any() and not h.all() for h in record.hidden_spikes)
+
+    def test_idle_lanes_and_pad_rows_stay_finite(self):
+        # 8 hidden layers with decay near 1: one long segment keeps the
+        # wavefront going for hundreds of stages after the 1-step segments
+        # end, so their lanes idle and the rows after each 1-step window are
+        # scanned again at every stage. Rows a stage leaves unwritten would be
+        # added in again at every stage and overflow
+        p = LifParams(tau=1000.0)
+        net = Network.from_config(
+            NetworkConfig.snn3(4, hidden=(6,) * 8, lif=p, seed=5), init_scale=2.0)
+        rng = np.random.default_rng(5)
+        T = 300 * network._EVAL_WINDOW
+        seqs = [(rng.random((n, 4)) < 0.4).astype(np.uint8) for n in [T] + [1] * 20]
+        with np.errstate(over="raise", invalid="raise"):
+            record = network._forward_sequences(net, seqs)
+            pred, alone = network_forward(net, seqs[0])
+        assert np.array_equal(record.output_membrane[:T], pred)
+        for h, a in zip(record.hidden_spikes, alone.hidden_spikes):
+            assert np.array_equal(h[:T], a) and a.any()
+        for k, x in enumerate(seqs[1:]):
+            acts = windowed_forward(net, x, network._EVAL_WINDOW)
+            for h, a in zip(record.hidden_spikes, acts[:-1]):
+                assert np.array_equal(h[T + k], a[0])
+            assert np.array_equal(record.output_membrane[T + k], acts[-1][0])
 
 
 class TestConfig:

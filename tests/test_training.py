@@ -296,12 +296,13 @@ class TestValidate:
                 assert validate(net, [seg]) == mse_loss(pred, seg.velocity)
 
     def test_several_segments_equal_eval_mse_bitwise(self):
-        # four equal-length val segments share one group; a pooled (T·B)-row
-        # GEMM gave other bits than eval for seeds 2 and 3
-        for seed in range(5):
-            session = generate_synthetic(seed=seed, channels=32, T=20_000, rate=0.3)
-            segs = split_session(session)["val"]
-            assert len(segs) == 4 and len({s.timesteps for s in segs}) == 1
+        # the eight val and test segments run side by side, one a lane; a
+        # pooled (T·B)-row GEMM gave other bits than eval for seeds 2 and 3.
+        # At T = 20,001 the last test segment is one step longer
+        for T, seed in [(20_000, s) for s in range(5)] + [(20_001, s) for s in range(3)]:
+            split = split_session(generate_synthetic(seed=seed, channels=32, T=T, rate=0.3))
+            segs = split["val"] + split["test"]
+            assert {s.timesteps for s in segs} == ({1250} if T == 20_000 else {1250, 1251})
             net = Network.from_config(NetworkConfig.snn3(32, seed=seed), init_scale=2.0)
             pred = np.concatenate([network_forward(net, s.spikes)[0] for s in segs])
             truth = np.concatenate([s.velocity for s in segs])
