@@ -496,13 +496,19 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int,
                 if not lo:
                     d[b, cols] = 0.0
             if len(run) == B and all(n == Tw for _, (_, _, n) in run):
+                # the per-lane [Tw x K] GEMMs in one call
                 np.matmul(x.transpose(1, 0, 2), w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
                 continue
-            # rows no GEMM writes are zero, so the scan only decays their
-            # membranes; stale rows would be added in again at every stage
-            u[:, :, cols] = 0.0
+            # rows no GEMM writes (a short window's tail, an idle lane) are
+            # zero, so the scan only decays their membranes; stale rows would
+            # be added in again at every stage
+            idle = set(range(B))
             for b, (k, lo, n) in run:
+                idle.remove(b)
                 np.matmul(x[:n, b], w_t[l], out=u[:n, b, cols])
+                u[n:, b, cols] = 0.0
+            for b in idle:
+                u[:, b, cols] = 0.0
         _lif_scan(u_t, fired_t, d, threshold, decay, p.reset_value * decay)
         for l, run in enumerate(runs):
             cols = slice(off[l], off[l + 1])

@@ -299,14 +299,14 @@ def windowed_forward(net, x, Tw):
 class TestEvalDriver:
     """_forward_sequences against B=1 forward_window windows, state carried.
 
-    With a 5-step window, the lengths 0, 1, Tw - 1, Tw, Tw + 1 and 3·Tw + 2
-    span no window, one, two, and as many as the 4 connection layers,
-    ending in short and full windows. There are more segments than lanes,
-    so lanes run several segments of mixed length back to back, each from
-    zero membranes. The readout is driven past the threshold with a nonzero
-    reset value, so a readout that fired, or a layer that lost its
-    membranes between windows or kept them across segments, would change
-    the bits."""
+    With a 5-step window, the lengths 0, 1, Tw - 1, Tw, Tw + 1, 3·Tw + 2
+    and 6·Tw + 3 span no window, one, two, as many as and more than the 4
+    connection layers, ending in short and full windows. There are more
+    segments than lanes, so lanes run several segments of mixed length back
+    to back, each from zero membranes. The readout is driven past the
+    threshold with a nonzero reset value, so a readout that fired, or a
+    layer that lost its membranes between windows or kept them across
+    segments, would change the bits."""
 
     def test_matches_windowed_kernel_and_scalar_reference(self, monkeypatch):
         monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
@@ -315,7 +315,7 @@ class TestEvalDriver:
                                   init_scale=3.0)
         net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) + 0.5
         rng = np.random.default_rng(8)
-        lengths = [17, 6, 0, 5, 4, 1, 17, 6, 1, 4, 5, 17, 1, 6, 0, 4]
+        lengths = [17, 6, 0, 33, 5, 4, 1, 17, 6, 1, 33, 4, 5, 17, 1, 6, 0, 4]
         assert sum(T > 0 for T in lengths) > network._EVAL_LANES
         seqs = [(rng.random((T, 3)) < 0.5).astype(np.uint8) for T in lengths]
         record = network._forward_sequences(net, seqs)
@@ -343,12 +343,12 @@ class TestEvalDriver:
         assert at == record.timesteps
         assert all(h.any() and not h.all() for h in record.hidden_spikes)
 
-    def test_idle_lanes_and_pad_rows_stay_finite(self):
+    def test_idle_lanes_stay_finite(self):
         # 8 hidden layers with decay near 1: one long segment keeps the
-        # wavefront going for hundreds of stages after the 1-step segments
-        # end, so their lanes idle and the rows after each 1-step window are
-        # scanned again at every stage. Rows a stage leaves unwritten would be
-        # added in again at every stage and overflow
+        # wavefront going for 300 windows, and the 1-step segments end after
+        # a few, so their lanes idle for hundreds of stages. Rows a stage
+        # leaves unwritten would be added in again at every stage, and an
+        # idle lane's carried membranes would grow geometrically to overflow
         p = LifParams(tau=1000.0)
         net = Network.from_config(
             NetworkConfig.snn3(4, hidden=(6,) * 8, lif=p, seed=5), init_scale=2.0)
@@ -366,6 +366,30 @@ class TestEvalDriver:
             for h, a in zip(record.hidden_spikes, acts[:-1]):
                 assert np.array_equal(h[T + k], a[0])
             assert np.array_equal(record.output_membrane[T + k], acts[-1][0])
+
+    def test_short_window_tails_stay_finite(self, monkeypatch):
+        # one lane runs a full window, then 600 1-step segments, so every
+        # stage leaves Tw - 1 rows of each layer unwritten. Left stale, the
+        # readout's would be added in again at every stage and grow like a
+        # binomial coefficient; readout weights of 1e200 make that overflow
+        # after about 300 stages, while the true membranes stay near 1e202
+        monkeypatch.setattr(network, "_EVAL_LANES", 1)
+        p = LifParams(tau=1000.0)
+        net = Network.from_config(
+            NetworkConfig.snn3(4, hidden=(6,), lif=p, seed=5), init_scale=2.0)
+        net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) * 1e200
+        rng = np.random.default_rng(5)
+        Tw = network._EVAL_WINDOW
+        seqs = [(rng.random((n, 4)) < 0.4).astype(np.uint8) for n in [Tw] + [1] * 600]
+        with np.errstate(over="raise", invalid="raise"):
+            record = network._forward_sequences(net, seqs)
+        at = 0
+        for x in seqs:
+            acts = windowed_forward(net, x, Tw)
+            rows = slice(at, at + len(x))
+            at += len(x)
+            assert np.array_equal(record.hidden_spikes[0][rows], acts[0])
+            assert np.array_equal(record.output_membrane[rows], acts[-1])
 
 
 class TestConfig:
