@@ -4,14 +4,16 @@ Everything here is deliberately independent of the library's fast paths:
 the forward reference is a plain-Python scalar loop, spiking-mode gradients
 come from a plain-Python surrogate BPTT over that loop, differentiable-mode
 gradient checks use central finite differences over the public loss,
-operation counts come from a brute-force quadruple loop, and prune selection
-from a plain-Python sort. The training step's bit-exactness oracle is the
-step layer by layer: a three-call reverse scan, Adam per layer and masking
-by boolean index.
+operation counts come from a brute-force quadruple loop, prune selection
+from a plain-Python sort, and synthetic labels from per-row Python sums.
+The training step's bit-exactness oracle is the step layer by layer: a
+three-call reverse scan, Adam per layer and masking by boolean index.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -270,6 +272,42 @@ def brute_force_ops(record, net):
                     if pre_acts[pre] != 0 and eff[post, pre] != 0.0:
                         total += 1
     return total
+
+
+def synthetic_oracle(seed, channels, T, rate, mixing=None, mixing_density=0.25,
+                     label_tau_steps=5.0):
+    """generate_synthetic re-derived without BLAS; returns (spikes, velocity).
+
+    The spikes are one [T x channels] draw. Each label component's drive at
+    step t is a Python sum of mixing[c, k] * spikes[t, k] in channel order,
+    filtered in Python floats and normalized to unit variance.
+    """
+    rng = np.random.default_rng(seed)
+    spikes = (rng.random((T, channels)) < rate).astype(np.uint8)
+    if mixing is None:
+        active = rng.random((2, channels)) < mixing_density
+        for k in range(2):
+            if not active[k].any():
+                active[k, int(rng.integers(channels))] = True
+        signs = rng.choice([-1.0, 1.0], size=(2, channels))
+        gains = rng.uniform(0.5, 1.5, size=(2, channels))
+        mixing = active * signs * gains
+    alpha = float(np.exp(-1.0 / label_tau_steps))
+    rows = spikes.tolist()
+    columns = []
+    for weights in np.asarray(mixing, dtype=np.float64).tolist():
+        x, out = 0.0, []
+        for row in rows:
+            dx = reduce(operator.add, map(operator.mul, weights, row), 0.0)
+            x = alpha * x + (1.0 - alpha) * dx
+            out.append(x)
+        columns.append(out)
+    velocity = np.array(columns).T.copy()
+    std = velocity.std(axis=0)
+    for k in range(2):
+        if std[k] > 0:
+            velocity[:, k] /= std[k]
+    return spikes, velocity
 
 
 def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):

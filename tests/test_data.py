@@ -1,9 +1,14 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import synthetic_oracle
+
 from spikeprune.data import (
+    _SYNTH_ROWS,
     MAGIC,
     BadMagicError,
     NonBinarySpikeError,
@@ -79,6 +84,30 @@ class TestFileFormat:
         with pytest.raises(SessionDimensionError):
             SpikeSession(spikes=np.zeros((3, 2), dtype=np.uint8),
                          velocity=np.zeros((3, 3)), dt_ms=1.0)
+
+    @pytest.mark.parametrize("values", [[[0.5, 1.0]], [[1.7, 0.0]], [[256, 0]],
+                                        [[np.nan, 1.0]], [[-1, 1]]])
+    def test_non_binary_input_is_rejected_before_the_cast(self, values):
+        # a uint8 cast would read 0.5 and 256 as 0, 1.7 as 1, and warn on NaN
+        with pytest.raises(NonBinarySpikeError, match="at 1 entries"):
+            SpikeSession(spikes=np.array(values), velocity=np.zeros((1, 2)), dt_ms=1.0)
+
+    def test_binary_input_of_any_dtype_is_accepted(self):
+        for spikes in ([[0, 1]], [[0.0, 1.0]], [[False, True]], np.array([[0, 1]], np.int8)):
+            session = SpikeSession(spikes=spikes, velocity=np.zeros((1, 2)), dt_ms=1.0)
+            assert session.spikes.dtype == np.uint8
+            assert session.spikes.tolist() == [[0, 1]]
+
+    def test_save_rejects_spikes_replaced_after_construction(self, tmp_path):
+        session = sample_session(T=4, channels=2)
+        save_session(tmp_path / "a.spk", session)
+        session.spikes = session.spikes.astype(np.float64)
+        save_session(tmp_path / "b.spk", session)
+        assert (tmp_path / "a.spk").read_bytes() == (tmp_path / "b.spk").read_bytes()
+        session.spikes[0, 0] = 0.5
+        with pytest.raises(NonBinarySpikeError):
+            save_session(tmp_path / "c.spk", session)
+        assert not (tmp_path / "c.spk").exists()
 
     def test_error_taxonomy(self):
         for err in (BadMagicError, TruncatedSessionError, NonBinarySpikeError,
@@ -249,3 +278,87 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(seed=2, channels=4, T=10, rate=0.5,
                                mixing=np.zeros((2, 5)))
+
+
+class TestSyntheticBlocks:
+    """generate_synthetic runs _SYNTH_ROWS rows at a time; its sessions equal
+    a BLAS-free re-derivation from one draw at every block boundary."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 32, 96, 192])
+    def test_matches_the_oracle_at_block_boundaries(self, channels):
+        for T in (1, 2, _SYNTH_ROWS - 1, _SYNTH_ROWS, _SYNTH_ROWS + 1, _SYNTH_ROWS + 2,
+                  2 * _SYNTH_ROWS - 1):
+            s = generate_synthetic(seed=T + channels, channels=channels, T=T, rate=0.3)
+            spikes, velocity = synthetic_oracle(T + channels, channels, T, 0.3)
+            assert np.array_equal(s.spikes, spikes)
+            assert s.velocity.tobytes() == velocity.tobytes(), T
+
+    def test_explicit_mixing_with_signed_zero_columns(self):
+        channels, T = 6, _SYNTH_ROWS + 2
+        mix = np.array([[0.0, -0.0, 0.75, 0.0, -1.25, -0.0],
+                        [-0.0, 0.0, -0.5, 2.0, 0.0, -0.0]])
+        for rate in (0.3, 0.9):
+            s = generate_synthetic(seed=3, channels=channels, T=T, rate=rate, mixing=mix,
+                                   label_tau_steps=2.0)
+            spikes, velocity = synthetic_oracle(3, channels, T, rate, mixing=mix,
+                                                label_tau_steps=2.0)
+            assert np.array_equal(s.spikes, spikes)
+            assert s.velocity.tobytes() == velocity.tobytes()
+        silent = generate_synthetic(seed=3, channels=channels, T=T, rate=0.3,
+                                    mixing=np.where(mix > 0, -0.0, 0.0))
+        assert not silent.velocity.any() and not np.signbit(silent.velocity).any()
+
+    def test_acceptance_session_bytes_are_pinned(self, tmp_path):
+        session = generate_synthetic(seed=11, channels=32, T=20_000, rate=0.3,
+                                     mixing_density=0.25)
+        save_session(tmp_path / "s.spk", session)
+        digest = hashlib.sha256((tmp_path / "s.spk").read_bytes()).hexdigest()
+        assert digest == "ec84a0dafdbc1a30f8715e9d0e52ecb9ca2aec440f2cb4b6ee1ae8133e9fcb6c"
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSessionMemory:
+    """No step makes an array the size of a 96-ch, 60,000-step session
+    (5.8 MB of spikes) beside the session itself."""
+
+    C, T = 96, 60_000
+    MB = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return generate_synthetic(seed=1, channels=self.C, T=self.T, rate=0.3)
+
+    @pytest.fixture(scope="class")
+    def saved(self, session, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "s.spk"
+        save_session(path, session)
+        return path
+
+    def test_generate_synthetic(self):
+        _, peak = traced_peak(generate_synthetic, 1, self.C, self.T, 0.3)
+        assert peak <= 16 * self.MB
+
+    def test_validate(self, session):
+        _, peak = traced_peak(session.validate)
+        assert peak <= self.MB
+
+    def test_save_session(self, session, tmp_path):
+        _, peak = traced_peak(save_session, tmp_path / "s.spk", session)
+        assert peak <= self.MB
+
+    def test_load_session(self, session, saved):
+        loaded, peak = traced_peak(load_session, saved)
+        assert peak <= session.spikes.nbytes + session.velocity.nbytes + self.MB
+        assert np.array_equal(loaded.spikes, session.spikes)
+        assert loaded.velocity.tobytes() == session.velocity.tobytes()

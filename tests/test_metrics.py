@@ -4,6 +4,7 @@ import pytest
 from helpers import brute_force_ops
 
 from spikeprune.metrics import (
+    _COUNT_ROWS,
     DegenerateTruthError,
     activation_sparsity,
     connection_sparsity,
@@ -173,6 +174,27 @@ class TestEffectiveOps:
             _, rec = network_forward(net, x)
             ops, _ = effective_ops(rec, net)
             assert ops == brute_force_ops(rec, net) / T
+
+    def test_oracle_on_silent_and_saturated_columns_over_several_blocks(self):
+        """effective_ops counts spikes _COUNT_ROWS rows at a time; a record
+        longer than one block, with columns that never fire and columns that
+        always fire, must give the brute-force count."""
+        rng = np.random.default_rng(21)
+        net = make_net((4, 3, 3, 3, 2), seed=2)
+        for layer in net.layers:
+            layer.weights[rng.random(layer.weights.shape) < 0.3] = 0.0
+        T = 2 * _COUNT_ROWS + 3
+
+        def acts(width):
+            a = (rng.random((T, width)) < 0.3).astype(np.uint8)
+            a[:, 0] = 0
+            a[:, -1] = 1
+            return a
+
+        rec = ActivationRecord(acts(4), [acts(3) for _ in range(3)],
+                               rng.normal(size=(T, 2)), timesteps=T)
+        ops, _ = effective_ops(rec, net)
+        assert ops == brute_force_ops(rec, net) / T
 
     def test_pruning_monotonicity_fixed_record(self):
         rng = np.random.default_rng(3)
