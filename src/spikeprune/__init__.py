@@ -57,7 +57,6 @@ from .data import (
     SessionDimensionError,
     SessionFormatError,
     SpikeSession,
-    SplitSpec,
     TruncatedSessionError,
     generate_synthetic,
     load_session,

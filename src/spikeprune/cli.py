@@ -9,9 +9,10 @@ reports carry it on a leading comment line, and synthesized sessions append
 metadata field).
 
 The train, prune and energy defaults are those of TrainConfig,
-PruneHyperParams and EnergyParams. The prune command's --mode and --scope
-flags are merged into the config as prune.mode and prune.scope before its
-digest is taken.
+PruneHyperParams and EnergyParams, but energy has no dt_ms key: eval's
+power uses the session's dt_ms, the timestep the LIF ran at. The prune
+command's --mode and --scope flags are merged into the config as
+prune.mode and prune.scope before its digest is taken.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
 A config that cannot be read, is not UTF-8 JSON, or has a key, a type or a
@@ -56,8 +57,9 @@ DEFAULT_CONFIG = {
     "train": asdict(TrainConfig()),
     "finetune": {},  # overrides applied to "train" during pruning
     "prune": asdict(PruneHyperParams()),
-    # eval reports both update-count modes
-    "energy": {k: v for k, v in asdict(EnergyParams()).items() if k != "update_count_mode"},
+    # eval reports both update-count modes, at the session's timestep
+    "energy": {k: v for k, v in asdict(EnergyParams()).items()
+               if k not in ("update_count_mode", "dt_ms")},
     "synth": {"channels": 32, "timesteps": 20000, "rate": 0.2,
               "mixing_density": 0.25, "label_tau_steps": 5.0,
               "session_id": "synthetic", "dt_ms": 4.0},
@@ -154,8 +156,7 @@ def _load_split(cfg: dict, net=None):
         raise dataio.SessionDimensionError(
             f"checkpoint expects {net.input_dim} channels, session has {session.channels}"
         )
-    spec = dataio.SplitSpec(n_subsessions=cfg["data"]["n_subsessions"])
-    return session, dataio.split_session(session, spec)
+    return session, dataio.split_session(session, cfg["data"]["n_subsessions"])
 
 
 class CsvTraceSink:
@@ -259,7 +260,7 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     n_neurons = sum(net.config.layer_dims[1:])
     energies = {}
     for mode in (PAPER_CONSISTENT, PER_NEURON):
-        params = EnergyParams(**cfg["energy"], update_count_mode=mode)
+        params = EnergyParams(**cfg["energy"], dt_ms=session.dt_ms, update_count_mode=mode)
         energies[mode] = energy_report(report.effective_ops, n_neurons, params).as_dict()
 
     payload = {

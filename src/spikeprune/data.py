@@ -11,7 +11,8 @@ Session file layout (little-endian, bit-exact round trip):
 A session is split into 4 equal contiguous sub-sessions; within each, the
 first 50% of timesteps go to training, the next 25% to validation, and the
 remainder (including floor-rounding leftovers) to test. Segments are
-contiguous so membrane state can be reset at each segment start.
+contiguous so membrane state can be reset at each segment start, and their
+arrays are views of the session's rows.
 
 Nothing here makes an array the size of a session beside the session
 itself: `generate_synthetic` draws and mixes `_SYNTH_ROWS` rows at a time,
@@ -40,7 +41,6 @@ __all__ = [
     "NonBinarySpikeError",
     "SessionDimensionError",
     "SpikeSession",
-    "SplitSpec",
     "save_session",
     "load_session",
     "split_session",
@@ -134,21 +134,13 @@ class SpikeSession:
             raise SessionFormatError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
 
     def slice(self, start: int, stop: int, suffix: str) -> "SpikeSession":
+        """Rows start:stop as a session whose arrays are views of this one's."""
         return replace(
             self,
-            spikes=self.spikes[start:stop].copy(),
-            velocity=self.velocity[start:stop].copy(),
+            spikes=self.spikes[start:stop],
+            velocity=self.velocity[start:stop],
             session_id=f"{self.session_id}{suffix}",
         )
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    n_subsessions: int = 4
-
-    def __post_init__(self):
-        if self.n_subsessions < 1:
-            raise ValueError("n_subsessions must be >= 1")
 
 
 def save_session(path, session: SpikeSession) -> None:
@@ -211,15 +203,18 @@ def _read_exact(f, buf, path):
     return buf
 
 
-def split_session(session: SpikeSession, spec: SplitSpec = SplitSpec()) -> dict:
+def split_session(session: SpikeSession, n_subsessions: int = 4) -> dict:
     """Contiguous train/val/test segments per sub-session.
 
     Boundaries use floor rounding; leftover timesteps land in each
     sub-session's trailing test segment. Zero-length segments are omitted.
+    The segments' arrays are views of the session's rows, not copies.
     Returns {"train": [...], "val": [...], "test": [...]}.
     """
     T = session.timesteps
-    n = spec.n_subsessions
+    n = n_subsessions
+    if n < 1:
+        raise ValueError("n_subsessions must be >= 1")
     if T < n:
         raise ValueError(f"session too small to split: T={T} < {n} sub-sessions")
     bounds = [T * i // n for i in range(n + 1)]

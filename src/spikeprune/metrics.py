@@ -3,8 +3,10 @@
 Four metrics: coefficient of determination of the velocity prediction
 (averaged over X and Y), connection sparsity (fraction of zero weights),
 activation sparsity (fraction of zero activation values pooled over layers
-and timesteps), and effective synaptic operations per timestep (ACs for the
-spiking network, MACs for a dense-equivalent comparison).
+and timesteps), and effective synaptic operations per timestep: the
+accumulates (ACs) the spikes trigger, the NeuroBench synaptic-operation
+count. A dense ANN-style layer would instead cost one MAC per nonzero
+weight each timestep, synapse_count·(1 - connection_sparsity).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ class MetricsReport:
     connection_sparsity_prunable: float
     activation_sparsity: float
     effective_ops: float
-    ops_kind: str
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -92,17 +93,12 @@ def activation_sparsity(record: ActivationRecord) -> float:
     return zeros / sum(a.size for a in groups)
 
 
-def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
-    """Average synaptic operations actually triggered per timestep.
+def effective_ops(record: ActivationRecord, net: Network) -> float:
+    """Average accumulates (ACs) the record's spikes trigger per timestep.
 
-    AC mode counts one accumulate per (nonzero presynaptic activation,
-    nonzero effective weight) pair, summed over connection layers and
-    averaged over timesteps. MAC mode emulates a dense ANN-style layer:
-    every nonzero-weight connection counts each timestep, regardless of
-    activations.
+    One AC per (nonzero presynaptic activation, nonzero effective weight)
+    pair, summed over connection layers and averaged over timesteps.
     """
-    if kind not in ("AC", "MAC"):
-        raise ValueError(f"kind must be 'AC' or 'MAC', got {kind!r}")
     T = record.timesteps
     if record.input_spikes.shape[1] != net.input_dim or \
             len(record.hidden_spikes) != net.config.n_layers - 1:
@@ -110,11 +106,8 @@ def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
     for i, s in enumerate(record.hidden_spikes):
         if s.shape[1] != net.config.layer_dims[i + 1]:
             raise ValueError("activation record does not match network topology")
-
-    if kind == "MAC":
-        return float(sum(np.count_nonzero(l.effective()) for l in net.layers)), "MAC"
     if T == 0:
-        return 0.0, "AC"
+        return 0.0
     total = 0
     for i, layer in enumerate(net.layers):
         # ops = sum_j (steps where pre_j != 0) * (nonzero weights in column j)
@@ -125,7 +118,7 @@ def effective_ops(record: ActivationRecord, net: Network, kind: str = "AC"):
             # a block's counts fit an int32, which sums faster than intp
             fired += (acts[lo:lo + _COUNT_ROWS] != 0).sum(axis=0, dtype=np.int32)
         total += int(fired @ col_nnz)
-    return total / T, "AC"
+    return total / T
 
 
 def evaluate_segments(net: Network, segments) -> MetricsReport:
@@ -133,12 +126,10 @@ def evaluate_segments(net: Network, segments) -> MetricsReport:
     segments = list(segments)
     record = _forward_sequences(net, [seg.spikes for seg in segments])
     truth = np.concatenate([seg.velocity for seg in segments])
-    acs, kind = effective_ops(record, net, kind="AC")
     return MetricsReport(
         r2=r_squared(record.output_membrane, truth),
         connection_sparsity=connection_sparsity(net),
         connection_sparsity_prunable=connection_sparsity(net, prunable_only=True),
         activation_sparsity=activation_sparsity(record),
-        effective_ops=acs,
-        ops_kind=kind,
+        effective_ops=effective_ops(record, net),
     )

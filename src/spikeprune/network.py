@@ -54,7 +54,7 @@ cache. `network_forward` is the one-sequence case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,13 +196,17 @@ class ActivationRecord:
     """Everything a metrics pass needs from one forward run.
 
     Stores the binary input spikes, the binary spike train of every hidden
-    layer, and the real-valued output membranes, all time-major.
+    layer, and the real-valued output membranes, all time-major; timesteps
+    is the output's row count.
     """
 
     input_spikes: np.ndarray
     hidden_spikes: list[np.ndarray]
     output_membrane: np.ndarray
-    timesteps: int = field(default=0)
+
+    @property
+    def timesteps(self) -> int:
+        return len(self.output_membrane)
 
     def layer_inputs(self, layer_index: int) -> np.ndarray:
         """Activations feeding connection layer `layer_index` (0-based)."""
@@ -334,7 +338,9 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, widt
 
     The body of forward_window: the state is the workspace's d, left as the
     next window's start, and acts and membranes are views of ws, valid
-    until its next window.
+    until its next window. effective holds each layer's weights·mask when
+    the caller already has them (train_epoch shares them with the backward
+    pass); by default each layer's effective() is taken.
     """
     n, B = x.shape[0], x.shape[1]
     dims = net.config.layer_dims
@@ -373,14 +379,12 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, widt
 
 
 def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                   mode: str = SPIKING, width: float = 1.0, effective=None, ws=None):
+                   mode: str = SPIKING, width: float = 1.0, ws=None):
     """Run one window of B sequences; returns (acts, membranes, final_state).
 
     x is [Tw x B x input_dim] float64: B independent equal-length sequences
     advance in lockstep. state holds one [B x H] membrane array per
-    connection layer and is not mutated. effective holds each layer's
-    weights·mask when the caller already has them (training shares them
-    with the backward pass). acts[0] is x and acts[l + 1] the
+    connection layer and is not mutated. acts[0] is x and acts[l + 1] the
     output of connection layer l (its spikes, or for the readout its
     membrane, so acts[-1] is the prediction); membranes[l] is layer l's
     pre-reset membrane. Both are [Tw x B x H] per layer, views of the
@@ -403,7 +407,7 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     p = net.config.lif
     for d, v in zip(ws.d, state):
         np.multiply(v, p.decay, out=d)
-    acts, membranes = _forward_window(net, ws, x, mode, width, effective)
+    acts, membranes = _forward_window(net, ws, x, mode, width)
     if not Tw:
         return acts, membranes, [np.array(v, dtype=np.float64) for v in state]
     final_state = [np.where(s[-1] != 0, p.reset_value, u[-1]) if mode == SPIKING
@@ -434,7 +438,6 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
         input_spikes=np.empty((total, dims[0]), dtype=np.uint8),
         hidden_spikes=[np.empty((total, d), dtype=np.uint8) for d in dims[1:-1]],
         output_membrane=np.empty((total, dims[-1])),
-        timesteps=total,
     )
     for k, s in enumerate(sequences):
         record.input_spikes[starts[k]:starts[k + 1]] = s != 0

@@ -18,15 +18,17 @@ pruned weights are exactly zero at every observation point.
 A training window costs as few numpy calls as the per-step scans allow,
 with the bits of a layer-by-layer step:
 
-- Flat optimizer pass. For an epoch the layers' weights are views of one
-  flat vector; each window's effective weights (weights·mask) and gradients
-  are one flat vector each, the gradients written by matmul(out=) and
-  masked by one multiply. Adam keeps flat moments and runs its elementwise
-  ops once a window, not once a layer, and one putmask against the epoch's
-  cached zero-mask (masks do not change within an epoch) replaces
-  weights[mask == 0] = 0. Every op is elementwise, so the bits do not
-  depend on how the layers are laid out. The forward and backward passes
-  share the window's effective weights.
+- Flat optimizer pass. train_epoch packs the layers' weights into one new
+  flat vector at the start of every epoch (one concatenate) and makes the
+  layers' weights views of it; each window's effective weights
+  (weights·mask) and gradients are one flat vector each, the gradients
+  written by matmul(out=) and masked by one multiply. Adam steps the flat
+  weights from the flat gradients with flat moments, once a window, not
+  once a layer, and one putmask against the epoch's cached zero-mask
+  (masks do not change within an epoch) replaces weights[mask == 0] = 0.
+  Every op is elementwise, so the bits do not depend on how the layers are
+  laid out. The forward and backward passes share the window's effective
+  weights.
 - Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
   du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
   du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
@@ -214,37 +216,8 @@ def _layer_views(flat: np.ndarray, layers) -> list[np.ndarray]:
     return views
 
 
-def _flat_of(arrays):
-    """The flat vector `arrays` are the _layer_views of, or None.
-
-    Arrays that all view one flat vector of their total size are taken to
-    be its _layer_views: nothing else lays arrays out that way.
-    """
-    base = arrays[0].base
-    if (isinstance(base, np.ndarray) and base.ndim == 1
-            and base.size == sum(a.size for a in arrays)
-            and all(a.base is base for a in arrays)):
-        return base
-    return None
-
-
-def _flat_weights(net: Network) -> np.ndarray:
-    """Every weight of the network as one flat vector the layers' weights view.
-
-    The weights are packed into a new vector unless they already view one;
-    they stay packed until something gives a layer an array of its own
-    (a restore, a checkpoint load).
-    """
-    flat = _flat_of([layer.weights for layer in net.layers])
-    if flat is None:
-        flat = np.concatenate([layer.weights.ravel() for layer in net.layers])
-        for layer, w in zip(net.layers, _layer_views(flat, net.layers)):
-            layer.weights = w
-    return flat
-
-
 def _flat_mask(net: Network) -> np.ndarray:
-    """Every layer's mask as one flat float64 vector, laid out as _flat_weights."""
+    """Every layer's mask as one flat float64 vector, laid out as _layer_views."""
     return np.concatenate([layer.mask.ravel() for layer in net.layers]).astype(np.float64)
 
 
@@ -254,7 +227,7 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     """Loss and weight gradients for one contiguous window.
 
     Returns (loss, grads, final_state); state defaults to zeros. grads are
-    views of one flat vector, which AdamOptimizer.step reads in place.
+    the per-layer views of one flat vector.
     """
     x = np.asarray(spikes, dtype=np.float64)
     y = np.asarray(velocity, dtype=np.float64)
@@ -269,7 +242,7 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     effective = [layer.effective() for layer in net.layers]
     ws = _TrainWorkspace(net.config.layer_dims, x.shape[0], 1)
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
-                                                  mode, width, effective, ws)
+                                                  mode, width, ws=ws)
     loss = mse_loss(acts[-1][:, 0, :], y)
     mask = _flat_mask(net)
     g = np.empty_like(mask)
@@ -279,13 +252,15 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     return loss, grads, [s[0] for s in final_state]
 
 
+# Adam's moment decays and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class AdamOptimizer:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.reset()
 
     def reset(self) -> None:
@@ -293,30 +268,21 @@ class AdamOptimizer:
         self._v = None
         self._t = 0
 
-    def step(self, net: Network, grads) -> None:
-        """One Adam update of every weight, in place, from per-layer grads.
-
-        It runs once over all layers: the weights as _flat_weights, the
-        gradients as the flat vector they view, the moments flat. grads must
-        be _layer_views of one flat vector, as train_epoch's and
-        compute_gradients' are.
-        """
-        w = _flat_weights(net)
-        g = _flat_of(grads)
-        if g is None:
-            raise ValueError("grads must be the _layer_views of one flat vector")
+    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+        """One Adam update of the flat weights w, in place, from the flat
+        gradient g; the moments are flat vectors of the same layout."""
         if self._m is None:
             self._m = np.zeros_like(g)
             self._v = np.zeros_like(g)
         self._t += 1
-        b1t = 1.0 - self.beta1 ** self._t
-        b2t = 1.0 - self.beta2 ** self._t
+        b1t = 1.0 - _BETA1 ** self._t
+        b2t = 1.0 - _BETA2 ** self._t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)
 
 
 def _length_groups(segments):
@@ -340,15 +306,18 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     Equal-length segments advance in lockstep and share each window's update;
     the loss is the MSE of the forward predictions made during the pass
     (before the window's update), pooled over all labeled timesteps.
-    optimizer.step(net, grads) must update the weights in place; the next
-    window overwrites grads.
+    optimizer.step(w, g) gets the flat weights and gradients, laid out as
+    _layer_views, and must update w in place; the next window overwrites g.
     """
     groups = _length_groups(segments)
     if not groups:
         raise ValueError("empty training dataset")
     # one flat vector each for the weights, the effective weights and the
-    # gradients; the masks hold for the whole epoch
-    w = _flat_weights(net)
+    # gradients; the layers' weights become views of a new packed copy, and
+    # the masks hold for the whole epoch
+    w = np.concatenate([layer.weights.ravel() for layer in net.layers])
+    for layer, view in zip(net.layers, _layer_views(w, net.layers)):
+        layer.weights = view
     mask = _flat_mask(net)
     zero = mask == 0
     eff = np.empty_like(w)
@@ -370,7 +339,7 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
                                          cfg.surrogate_width, effective, grads)
             g *= mask
             total_n += acts[-1].size
-            optimizer.step(net, grads)
+            optimizer.step(w, g)
             np.putmask(w, zero, 0.0)
     return total_sq / total_n
 
@@ -388,15 +357,14 @@ def validate(net: Network, segments) -> float:
     return mse_loss(record.output_membrane, np.concatenate([seg.velocity for seg in segments]))
 
 
-def pretrain(config: NetworkConfig, split: dict, cfg: TrainConfig,
-             log=None, init_scale: float = 1.0):
+def pretrain(config: NetworkConfig, split: dict, cfg: TrainConfig, log=None):
     """Train a fresh dense network; returns (net, target_loss).
 
     target_loss is the final validation loss (that of the untrained network
     when max_epochs is 0), frozen as the reference the pruning controller
     must hold. Raises TrainingDivergedError if the loss goes non-finite.
     """
-    net = Network.from_config(config, init_scale=init_scale)
+    net = Network.from_config(config)
     if cfg.max_epochs == 0:
         return net, validate(net, split["val"])
     optimizer = AdamOptimizer(cfg.learning_rate)

@@ -108,7 +108,7 @@ def test_criterion_3_effective_ops_oracle():
             T = int(rng.integers(1, 17))
             x = (rng.random((T, dims[0])) < 0.5).astype(float)
             _, rec = network_forward(net, x)
-            ops, _ = effective_ops(rec, net)
+            ops = effective_ops(rec, net)
             assert ops == brute_force_ops(rec, net) / T
 
 

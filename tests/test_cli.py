@@ -77,10 +77,12 @@ class TestConfig:
         ("train", "max_epochs", "2"),  # a string where an int belongs
         ("prune", "tolerence", 0.5),  # a misspelt key
         # keys that are gone: Adam is the only optimizer, the controller
-        # decides how long it fine-tunes, and tau is tau_factor * dt
+        # decides how long it fine-tunes, tau is tau_factor * dt, and eval's
+        # energy runs at the session's dt_ms
         ("train", "optimizer", "adam"),
         ("finetune", "max_epochs", 5),
         ("lif", "tau", 20.0),
+        ("energy", "dt_ms", 4.0),
     ])
     def test_schema_names_the_bad_path(self, tmp_path, capsys, section, key, value):
         p, _ = write_config(tmp_path, **{section: {key: value}})
@@ -125,7 +127,7 @@ class TestConfig:
                 err = capsys.readouterr().err
                 assert err.startswith("config error:") and "Traceback" not in err
                 cases += 1
-        assert cases == 2 * len(paths) == 80
+        assert cases == 2 * len(paths) == 78
 
     @pytest.mark.parametrize("command, section, key, literal", [
         ("prune", "prune", "tolerance", "NaN"),  # would prune straight to the cap
@@ -133,9 +135,9 @@ class TestConfig:
         ("eval", "energy", "e_ac_pj", "NaN"),  # would write a bare NaN to metrics.json
         ("pretrain", "lif", "threshold", "NaN"),  # would pretrain with exit 0
         ("pretrain", "train", "learning_rate", "1e999"),  # parses as inf
-        ("eval", "energy", "dt_ms", "1" + "0" * 400),  # an int beyond any float
+        ("eval", "energy", "e_update_pj", "1" + "0" * 400),  # an int beyond any float
     ], ids=["tolerance-NaN", "p_start-Infinity", "e_ac_pj-NaN", "threshold-NaN",
-            "learning_rate-1e999", "dt_ms-10**400"])
+            "learning_rate-1e999", "e_update_pj-10**400"])
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, section, key, literal):
         p, _ = write_config(tmp_path)
         assert main(["synth", "--config", str(p)]) == EXIT_OK
@@ -209,7 +211,7 @@ class TestConfigFuzz:
                     assert code == EXIT_CONFIG, (path, value)
                     assert err.startswith(f"config error: {path[-1]} must be"), err
                     assert not (case / "unit.spk").exists()
-        assert len(paths) == 26 and len(cases) == 55
+        assert len(paths) == 25 and len(cases) == 53
         assert {EXIT_OK, EXIT_CONFIG, EXIT_DATA} <= codes
 
 
@@ -375,12 +377,26 @@ class TestPipelineCommands:
         payload = json.loads((tmp / "out" / "metrics.json").read_text())
         assert payload["config_digest"] == config_digest(load_config(p))
         m = payload["metrics"]
-        assert set(m) >= {"r2", "connection_sparsity", "activation_sparsity",
-                          "effective_ops", "ops_kind"}
+        assert set(m) == {"r2", "connection_sparsity", "connection_sparsity_prunable",
+                          "activation_sparsity", "effective_ops"}
         assert m["connection_sparsity"] == 0.0
         assert set(payload["energy"]) == {"paper-consistent", "per-neuron"}
         text = (tmp / "out" / "metrics.txt").read_text()
         assert f"# config_digest={payload['config_digest']}" in text
+
+    @pytest.mark.parametrize("dt_ms", [1.0, 2.0])
+    def test_eval_power_uses_the_session_timestep(self, tmp_path, dt_ms):
+        p, _ = write_config(tmp_path, synth={"dt_ms": dt_ms})
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        dense = tmp_path / "dense.ckpt"
+        save_checkpoint(dense, Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6))))
+        assert main(["eval", "--config", str(p), "--checkpoint", str(dense)]) == EXIT_OK
+        payload = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        for rep in payload["energy"].values():
+            assert rep["dt_ms"] == dt_ms
+            assert rep["power_uw"] == rep["energy_pj_per_timestep"] / dt_ms / 1000.0
+        text = (tmp_path / "out" / "metrics.txt").read_text()
+        assert f"energy[paper-consistent].dt_ms = {dt_ms!r}" in text
 
     def test_eval_dense_vs_pruned_ordering(self, prepared):
         p, tmp = prepared

@@ -15,13 +15,15 @@ from spikeprune.data import (
     SessionDimensionError,
     SessionFormatError,
     SpikeSession,
-    SplitSpec,
     TruncatedSessionError,
     generate_synthetic,
     load_session,
     save_session,
     split_session,
 )
+from spikeprune.metrics import evaluate_segments
+from spikeprune.network import Network, NetworkConfig
+from spikeprune.training import AdamOptimizer, TrainConfig, train_epoch, validate
 
 
 def sample_session(T=40, channels=3, seed=0):
@@ -226,7 +228,25 @@ class TestSplit:
 
     def test_subsession_count_validation(self):
         with pytest.raises(ValueError):
-            SplitSpec(n_subsessions=0)
+            split_session(sample_session(T=160), 0)
+
+    def test_segments_are_views_of_the_session(self):
+        session = sample_session(T=160)
+        split = split_session(session, 2)
+        for seg in split["train"] + split["val"] + split["test"]:
+            assert np.shares_memory(seg.spikes, session.spikes)
+            assert np.shares_memory(seg.velocity, session.velocity)
+
+    def test_training_and_eval_leave_the_session_unchanged(self):
+        session = generate_synthetic(seed=3, channels=4, T=400, rate=0.3)
+        before = session.spikes.tobytes(), session.velocity.tobytes()
+        split = split_session(session)
+        net = Network.from_config(NetworkConfig.snn3(4, hidden=(5, 5, 5), seed=3))
+        tc = TrainConfig(learning_rate=5e-3, batch_length=25)
+        train_epoch(net, split["train"], tc, AdamOptimizer(tc.learning_rate))
+        validate(net, split["val"])
+        evaluate_segments(net, split["train"] + split["val"] + split["test"])
+        assert (session.spikes.tobytes(), session.velocity.tobytes()) == before
 
 
 def _find_offset(session, seg):

@@ -103,36 +103,36 @@ class TestActivationSparsity:
     def test_all_silent(self):
         rec = ActivationRecord(np.zeros((4, 3), dtype=np.uint8),
                                [np.zeros((4, 2), dtype=np.uint8)],
-                               np.zeros((4, 2)), timesteps=4)
+                               np.zeros((4, 2)))
         assert activation_sparsity(rec) == 1.0
 
     def test_all_active(self):
         rec = ActivationRecord(np.ones((4, 3), dtype=np.uint8),
                                [np.ones((4, 2), dtype=np.uint8)],
-                               np.ones((4, 2)), timesteps=4)
+                               np.ones((4, 2)))
         assert activation_sparsity(rec) == 0.0
 
     def test_three_quarters(self):
         # two layers of size two, one timestep: [1,0] and [0,0] -> 3/4 zeros
         rec = ActivationRecord(np.array([[1, 0]], dtype=np.uint8), [],
-                               np.array([[0.0, 0.0]]), timesteps=1)
+                               np.array([[0.0, 0.0]]))
         assert activation_sparsity(rec) == pytest.approx(0.75)
 
     def test_pools_input_hidden_and_output(self):
         # input [1,1], hidden [1,0], output [0,0]: 3 of 6 values are zero
         rec = ActivationRecord(np.array([[1, 1]], dtype=np.uint8),
                                [np.array([[1, 0]], dtype=np.uint8)],
-                               np.array([[0.0, 0.0]]), timesteps=1)
+                               np.array([[0.0, 0.0]]))
         assert activation_sparsity(rec) == 3 / 6
 
     def test_negative_zero_is_zero_and_nan_is_not(self):
         rec = ActivationRecord(np.array([[0, 1]], dtype=np.uint8), [],
-                               np.array([[-0.0, np.nan]]), timesteps=1)
+                               np.array([[-0.0, np.nan]]))
         assert activation_sparsity(rec) == 2 / 4
 
     def test_empty_record_raises(self):
         rec = ActivationRecord(np.zeros((0, 2), dtype=np.uint8), [],
-                               np.zeros((0, 2)), timesteps=0)
+                               np.zeros((0, 2)))
         with pytest.raises(ValueError):
             activation_sparsity(rec)
 
@@ -141,8 +141,7 @@ class TestEffectiveOps:
     def test_zero_input(self):
         net = make_net((3, 2, 2, 2, 2))
         _, rec = network_forward(net, np.zeros((4, 3)))
-        ops, kind = effective_ops(rec, net)
-        assert ops == 0.0 and kind == "AC"
+        assert effective_ops(rec, net) == 0.0
 
     def test_single_pair(self):
         net = make_net((2, 1, 2))
@@ -150,8 +149,8 @@ class TestEffectiveOps:
         net.layers[1].weights = np.zeros((2, 1))
         rec = ActivationRecord(np.array([[1, 1]], dtype=np.uint8),
                                [np.array([[0]], dtype=np.uint8)],
-                               np.zeros((1, 2)), timesteps=1)
-        ops, _ = effective_ops(rec, net)
+                               np.zeros((1, 2)))
+        ops = effective_ops(rec, net)
         assert ops == 1.0
 
     def test_oracle_equivalence_random_nets(self):
@@ -172,7 +171,7 @@ class TestEffectiveOps:
             T = int(rng.integers(1, 17))
             x = (rng.random((T, dims[0])) < 0.5).astype(float)
             _, rec = network_forward(net, x)
-            ops, _ = effective_ops(rec, net)
+            ops = effective_ops(rec, net)
             assert ops == brute_force_ops(rec, net) / T
 
     def test_oracle_on_silent_and_saturated_columns_over_several_blocks(self):
@@ -192,8 +191,8 @@ class TestEffectiveOps:
             return a
 
         rec = ActivationRecord(acts(4), [acts(3) for _ in range(3)],
-                               rng.normal(size=(T, 2)), timesteps=T)
-        ops, _ = effective_ops(rec, net)
+                               rng.normal(size=(T, 2)))
+        ops = effective_ops(rec, net)
         assert ops == brute_force_ops(rec, net) / T
 
     def test_pruning_monotonicity_fixed_record(self):
@@ -203,7 +202,7 @@ class TestEffectiveOps:
             layer.weights *= 4.0
         x = (rng.random((10, 5)) < 0.5).astype(float)
         _, rec = network_forward(net, x)
-        prev, _ = effective_ops(rec, net)
+        prev = effective_ops(rec, net)
         for _ in range(5):
             for layer in net.prunable_layers():
                 live = np.argwhere(layer.mask == 1)
@@ -211,25 +210,15 @@ class TestEffectiveOps:
                     r, c = live[rng.integers(len(live))]
                     layer.mask[r, c] = 0
                     layer.apply_mask()
-            ops, _ = effective_ops(rec, net)
+            ops = effective_ops(rec, net)
             assert ops <= prev
             prev = ops
-
-    def test_mac_mode_counts_nonzero_weights(self):
-        net = make_net((3, 2, 2))
-        net.layers[0].weights = np.array([[0.5, 0.0, 1.0], [0.0, 0.0, 2.0]])
-        net.layers[1].weights = np.ones((2, 2))
-        rec = ActivationRecord(np.zeros((2, 3), dtype=np.uint8),
-                               [np.zeros((2, 2), dtype=np.uint8)],
-                               np.zeros((2, 2)), timesteps=2)
-        ops, kind = effective_ops(rec, net, kind="MAC")
-        assert kind == "MAC" and ops == 7.0
 
     def test_topology_mismatch(self):
         net = make_net((3, 2, 2, 2, 2))
         rec = ActivationRecord(np.zeros((2, 4), dtype=np.uint8),
                                [np.zeros((2, 2), dtype=np.uint8)] * 3,
-                               np.zeros((2, 2)), timesteps=2)
+                               np.zeros((2, 2)))
         with pytest.raises(ValueError):
             effective_ops(rec, net)
 
@@ -243,7 +232,6 @@ class TestSegmentEvaluation:
         assert report.connection_sparsity == 0.0
         assert 0.0 <= report.activation_sparsity <= 1.0
         assert report.effective_ops >= 0.0
-        assert report.ops_kind == "AC"
 
     def test_pooled_record_lengths(self):
         session = generate_synthetic(seed=2, channels=6, T=400, rate=0.3)
