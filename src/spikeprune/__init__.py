@@ -5,7 +5,8 @@ Library layout:
 - network: LIF dynamics, masked dense layers, the one forward kernel
 - training: surrogate-gradient BPTT, the Adam optimizer, pretraining
 - pruning: the adaptive prune/fine-tune/rollback controller and its trace
-- metrics: R^2, connection/activation sparsity, effective synaptic ops
+- metrics: R^2, connection/activation sparsity, effective synaptic ops,
+  all from per-neuron spike counts
 - energy: per-timestep energy and average power on neuromorphic hardware
 - data: session container, portable file format, splits, synthetic tasks
 - checkpoint: bit-exact binary network checkpoints
@@ -17,6 +18,7 @@ from .network import (
     LifParams,
     Network,
     NetworkConfig,
+    SpikeCounts,
     WeightLayer,
     forward_window,
     network_forward,

@@ -7,6 +7,12 @@ and timesteps), and effective synaptic operations per timestep: the
 accumulates (ACs) the spikes trigger, the NeuroBench synaptic-operation
 count. A dense ANN-style layer would instead cost one MAC per nonzero
 weight each timestep, synapse_count·(1 - connection_sparsity).
+
+The two activation metrics need one count per presynaptic neuron, not the
+spike trains: how many timesteps it was nonzero (`fired`). Eval's driver
+returns those counts (network.SpikeCounts), so the ACs are one integer dot
+product per layer, fired · (nonzero weights per column). The same functions
+take a network_forward ActivationRecord, whose `fired` counts its trains.
 """
 
 from __future__ import annotations
@@ -16,11 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 # network_forward stays importable from here: the benchmark traces it by this name
-from .network import ActivationRecord, Network, _forward_sequences, network_forward  # noqa: F401
-
-# rows effective_ops counts at a time, so that no boolean copy of a whole
-# record is made
-_COUNT_ROWS = 4096
+from .network import Network, _forward_sequences, network_forward  # noqa: F401
 
 __all__ = [
     "DegenerateTruthError",
@@ -80,56 +82,52 @@ def connection_sparsity(net: Network, prunable_only: bool = False) -> float:
     return zeros / total if total else 0.0
 
 
-def activation_sparsity(record: ActivationRecord) -> float:
+def activation_sparsity(record) -> float:
     """Fraction of zero activation values, pooled over layers and timesteps.
 
     Input spikes count as activations (they drive first-layer synaptic
-    events), as do output membrane values.
+    events), as do output membrane values. record is a SpikeCounts or an
+    ActivationRecord: each input column of a layer is zero in timesteps
+    minus its fired count.
     """
-    if record.timesteps == 0:
+    T = record.timesteps
+    if T == 0:
         raise ValueError("empty activation record")
-    groups = [record.input_spikes, *record.hidden_spikes, record.output_membrane]
-    zeros = sum(a.size - int(np.count_nonzero(a)) for a in groups)
-    return zeros / sum(a.size for a in groups)
+    fired = record.fired
+    size = T * sum(len(f) for f in fired) + record.output_membrane.size
+    nonzero = sum(int(f.sum()) for f in fired) + int(np.count_nonzero(record.output_membrane))
+    return (size - nonzero) / size
 
 
-def effective_ops(record: ActivationRecord, net: Network) -> float:
+def effective_ops(record, net: Network) -> float:
     """Average accumulates (ACs) the record's spikes trigger per timestep.
 
     One AC per (nonzero presynaptic activation, nonzero effective weight)
-    pair, summed over connection layers and averaged over timesteps.
+    pair, summed over connection layers and averaged over timesteps: per
+    layer, the dot product of each input column's fired count with the
+    column's nonzero weights. record is a SpikeCounts or an ActivationRecord.
     """
-    T = record.timesteps
-    if record.input_spikes.shape[1] != net.input_dim or \
-            len(record.hidden_spikes) != net.config.n_layers - 1:
+    fired = record.fired
+    if [len(f) for f in fired] != list(net.config.layer_dims[:-1]):
         raise ValueError("activation record does not match network topology")
-    for i, s in enumerate(record.hidden_spikes):
-        if s.shape[1] != net.config.layer_dims[i + 1]:
-            raise ValueError("activation record does not match network topology")
+    T = record.timesteps
     if T == 0:
         return 0.0
     total = 0
-    for i, layer in enumerate(net.layers):
-        # ops = sum_j (steps where pre_j != 0) * (nonzero weights in column j)
-        col_nnz = np.count_nonzero(layer.effective() != 0.0, axis=0)
-        acts = record.layer_inputs(i)
-        fired = np.zeros(acts.shape[1], dtype=np.int64)
-        for lo in range(0, len(acts), _COUNT_ROWS):
-            # a block's counts fit an int32, which sums faster than intp
-            fired += (acts[lo:lo + _COUNT_ROWS] != 0).sum(axis=0, dtype=np.int32)
-        total += int(fired @ col_nnz)
+    for f, layer in zip(fired, net.layers):
+        total += int(f @ np.count_nonzero(layer.effective(), axis=0))
     return total / T
 
 
 def evaluate_segments(net: Network, segments) -> MetricsReport:
     """Forward every segment (state reset at each) and pool the four metrics."""
     segments = list(segments)
-    record = _forward_sequences(net, [seg.spikes for seg in segments])
+    counts = _forward_sequences(net, [seg.spikes for seg in segments])
     truth = np.concatenate([seg.velocity for seg in segments])
     return MetricsReport(
-        r2=r_squared(record.output_membrane, truth),
+        r2=r_squared(counts.output_membrane, truth),
         connection_sparsity=connection_sparsity(net),
         connection_sparsity_prunable=connection_sparsity(net, prunable_only=True),
-        activation_sparsity=activation_sparsity(record),
-        effective_ops=effective_ops(record, net),
+        activation_sparsity=activation_sparsity(counts),
+        effective_ops=effective_ops(counts, net),
     )

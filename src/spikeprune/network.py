@@ -48,7 +48,15 @@ prediction. At most n_layers windows per lane are in flight, in buffers
 allocated once per call, so memory stays bounded on long sessions. The
 windows are short (_EVAL_WINDOW): the wavefront's pipeline fill scans
 (n_layers - 1)·Tw extra rows, and short windows keep the stage buffers in
-cache. `network_forward` is the one-sequence case.
+cache.
+
+The driver keeps no spike train. It returns the prediction and, per input
+column of every layer, the number of timesteps the column was nonzero
+(SpikeCounts): each stage sums the input rows its GEMMs read, and the
+activation metrics need nothing more. `network_forward` runs one sequence
+through forward_window's kernel, window by window at B=1, and keeps every
+step's spikes (ActivationRecord); its GEMMs have the wavefront's shapes, so
+it gives the same bits by another path.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ __all__ = [
     "NetworkConfig",
     "WeightLayer",
     "ActivationRecord",
+    "SpikeCounts",
     "Network",
     "forward_window",
     "network_forward",
@@ -193,7 +202,7 @@ class WeightLayer:
 
 @dataclass
 class ActivationRecord:
-    """Everything a metrics pass needs from one forward run.
+    """Every activation of one forward run, step by step (network_forward).
 
     Stores the binary input spikes, the binary spike train of every hidden
     layer, and the real-valued output membranes, all time-major; timesteps
@@ -208,11 +217,36 @@ class ActivationRecord:
     def timesteps(self) -> int:
         return len(self.output_membrane)
 
+    @property
+    def fired(self) -> list[np.ndarray]:
+        """Per connection layer, the steps each of its input columns was nonzero."""
+        return [np.count_nonzero(a, axis=0) for a in (self.input_spikes, *self.hidden_spikes)]
+
     def layer_inputs(self, layer_index: int) -> np.ndarray:
         """Activations feeding connection layer `layer_index` (0-based)."""
         if layer_index == 0:
             return self.input_spikes
         return self.hidden_spikes[layer_index - 1]
+
+
+@dataclass
+class SpikeCounts:
+    """What eval and validation keep of a forward run (_forward_sequences).
+
+    fired[l] has one int64 entry per input column of connection layer l:
+    the number of timesteps, over every sequence, in which that column was
+    nonzero (fired[0] counts the input channels, fired[l + 1] the spikes of
+    hidden layer l). output_membrane is the [T x 2] prediction; timesteps
+    is its row count. The metrics need no more than these counts, so no
+    spike train is kept.
+    """
+
+    fired: list[np.ndarray]
+    output_membrane: np.ndarray
+
+    @property
+    def timesteps(self) -> int:
+        return len(self.output_membrane)
 
 
 class Network:
@@ -416,15 +450,15 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     return acts, membranes, final_state + [membranes[-1][-1].copy()]
 
 
-def _forward_sequences(net: Network, sequences) -> ActivationRecord:
-    """Run each sequence from zero membranes; returns their pooled record.
+def _forward_sequences(net: Network, sequences) -> SpikeCounts:
+    """Run each sequence from zero membranes; returns their pooled counts.
 
-    sequences are time-major [T x input_dim] arrays. The record holds them
-    end to end in the given order, so its output_membrane is the prediction
-    of every sequence concatenated. They run on up to _EVAL_LANES lanes, in
-    windows of _EVAL_WINDOW timesteps, as one wavefront over the layers
-    (module docstring); a sequence's bits do not depend on its lane or on
-    the sequences beside it.
+    sequences are time-major [T x input_dim] arrays. The counts pool them
+    in the given order, so their output_membrane is the prediction of every
+    sequence concatenated. They run on up to _EVAL_LANES lanes, in windows
+    of _EVAL_WINDOW timesteps, as one wavefront over the layers (module
+    docstring); a sequence's bits do not depend on its lane or on the
+    sequences beside it.
     """
     dims = net.config.layer_dims
     sequences = [np.asarray(s) for s in sequences]
@@ -433,16 +467,9 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
             raise ValueError(f"expected [T x {dims[0]}] input, got shape {s.shape}")
     lengths = [s.shape[0] for s in sequences]
     starts = np.cumsum([0] + lengths).tolist()
-    total = starts[-1]
-    record = ActivationRecord(
-        input_spikes=np.empty((total, dims[0]), dtype=np.uint8),
-        hidden_spikes=[np.empty((total, d), dtype=np.uint8) for d in dims[1:-1]],
-        output_membrane=np.empty((total, dims[-1])),
-    )
-    for k, s in enumerate(sequences):
-        record.input_spikes[starts[k]:starts[k + 1]] = s != 0
-    if not total:
-        return record
+    pred = np.empty((starts[-1], dims[-1]))
+    if not starts[-1]:
+        return SpikeCounts([np.zeros(k, dtype=np.int64) for k in dims[:-1]], pred)
     # a lane runs its sequences' windows back to back, (k, lo, n) each: the
     # longest first, onto the lane with the fewest windows
     Tw = min(_EVAL_WINDOW, max(lengths))
@@ -450,75 +477,92 @@ def _forward_sequences(net: Network, sequences) -> ActivationRecord:
     for k in sorted(range(len(sequences)), key=lambda k: -lengths[k]):
         min(lanes, key=len).extend((k, lo, min(Tw, lengths[k] - lo))
                                    for lo in range(0, lengths[k], Tw))
-    _wavefront(net, sequences, starts, lanes, Tw, record)
-    return record
+    return SpikeCounts(_wavefront(net, sequences, starts, lanes, Tw, pred), pred)
 
 
-def _wavefront(net: Network, sequences, starts, lanes, Tw: int,
-               record: ActivationRecord) -> None:
-    """Run every lane's windows, writing each sequence's rows of record.
+def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np.ndarray]:
+    """Run every lane's windows, writing each sequence's rows of pred.
 
     At stage s connection layer l runs window s - l of every lane that has
     one. Its current is one [n x K] GEMM per window, the shape of a B=1 run,
     written into the layer's columns of u; a sequence's first window zeroes
     the layer's carried membranes on its lane. Then one _lif_scan advances
     every column of every lane.
+
+    Returns SpikeCounts.fired: per connection layer, the number of rows in
+    which each input column was nonzero. Each stage sums, in float64, the
+    rows its GEMMs read from the input buffers: all of them in one GEMV when
+    every layer runs a full window on every lane, otherwise each window's n
+    rows, since the rows past them are stale or left by an idle lane. A sum
+    of 0.0s and 1.0s is exact in float64, and a session's spikes are 0 or 1
+    (SpikeSession checks), so each sum is the nonzero count.
     """
     dims = net.config.layer_dims
     n_layers = net.config.n_layers
     p = net.config.lif
     decay = p.decay
     B = len(lanes)
-    # layer l's neurons are the columns off[l]:off[l + 1] of the stage
-    # buffers; its input, as float64, the columns ins[l]:ins[l + 1] of a
+    # layer l's neurons are the columns off[l]:off[l + 1] of the stage buffers
     off = np.cumsum([0, *dims[1:]]).tolist()
-    ins = np.cumsum([0, *dims[:-1]]).tolist()
     u = np.empty((Tw, B, off[-1]))
     fired = np.empty((Tw, B, off[-1]), dtype=bool)
     spikes = fired.view(np.uint8)  # numpy casts uint8 to float64 faster than bool
-    a = np.empty((Tw, B, ins[-1]))
     d = np.zeros((B, off[-1]))  # decayed membranes, carried from window to window
     threshold = np.full((B, off[-1]), p.threshold)
     threshold[:, off[-2]:] = np.nan  # the readout never fires
     u_t, fired_t = list(u), list(fired)
+    # every layer's input as float64, lane-major [B x Tw x K]: the input
+    # spikes, and the hidden spikes, cast in one copy into h laid out like u
+    x0 = np.empty((B, Tw, dims[0]))
+    h = np.empty((Tw, B, off[-1]))
+    xs = [x0] + [h[:, :, off[l]:off[l + 1]].transpose(1, 0, 2) for l in range(n_layers - 1)]
     # C-contiguous W^T, as in forward_window
     w_t = [layer.effective().T.copy() for layer in net.layers]
+    ones = np.ones(Tw * B)
+    # the nonzero rows of every input column, as float64, laid out like x0 and h
+    count_x0, count_h = np.zeros(dims[0]), np.zeros(off[-1])
+    counts = [count_x0] + [count_h[off[l]:off[l + 1]] for l in range(n_layers - 1)]
 
     for stage in range(max(map(len, lanes)) + n_layers - 1):
         # the spikes each hidden layer made last stage: the input of the layer above
-        np.copyto(a[:, :, dims[0]:], spikes[:, :, :off[-2]])
-        runs = []
-        for l in range(n_layers):
-            cols, x = slice(off[l], off[l + 1]), a[:, :, ins[l]:ins[l + 1]]
+        np.copyto(h, spikes)
+        runs, full = [], True
+        for l, x in enumerate(xs):
+            cols = slice(off[l], off[l + 1])
             w = stage - l
             run = [(b, lane[w]) for b, lane in enumerate(lanes) if 0 <= w < len(lane)]
             runs.append(run)
             for b, (k, lo, n) in run:
                 if l == 0:
-                    x[:n, b] = sequences[k][lo:lo + n]
+                    x0[b, :n] = sequences[k][lo:lo + n]
                 if not lo:
                     d[b, cols] = 0.0
             if len(run) == B and all(n == Tw for _, (_, _, n) in run):
                 # the per-lane [Tw x K] GEMMs in one call
-                np.matmul(x.transpose(1, 0, 2), w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
+                np.matmul(x, w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
                 continue
+            full = False
             # rows no GEMM writes (a short window's tail, an idle lane) are
             # zero, so the scan only decays their membranes; stale rows would
             # be added in again at every stage
             idle = set(range(B))
             for b, (k, lo, n) in run:
                 idle.remove(b)
-                np.matmul(x[:n, b], w_t[l], out=u[:n, b, cols])
+                np.matmul(x[b, :n], w_t[l], out=u[:n, b, cols])
                 u[n:, b, cols] = 0.0
             for b in idle:
                 u[:, b, cols] = 0.0
+        if full:
+            count_x0 += ones @ x0.reshape(B * Tw, dims[0])
+            count_h += ones @ h.reshape(Tw * B, off[-1])
+        else:
+            for x, count, run in zip(xs, counts, runs):
+                for b, (k, lo, n) in run:
+                    count += ones[:n] @ x[b, :n]
         _lif_scan(u_t, fired_t, d, threshold, decay, p.reset_value * decay)
-        for l, run in enumerate(runs):
-            cols = slice(off[l], off[l + 1])
-            src = u if l == n_layers - 1 else spikes
-            dst = record.output_membrane if l == n_layers - 1 else record.hidden_spikes[l]
-            for b, (k, lo, n) in run:
-                dst[starts[k] + lo:starts[k] + lo + n] = src[:n, b, cols]
+        for b, (k, lo, n) in runs[-1]:
+            pred[starts[k] + lo:starts[k] + lo + n] = u[:n, b, off[-2]:]
+    return [c.astype(np.int64) for c in counts]
 
 
 def network_forward(net: Network, spikes: np.ndarray):
@@ -526,9 +570,25 @@ def network_forward(net: Network, spikes: np.ndarray):
 
     spikes is time-major [T x input_dim] binary. Returns the [T x 2] velocity
     prediction and an ActivationRecord of every spike and output membrane.
-    This is the one-sequence case of _forward_sequences, with the bits of
-    forward_window at B=1 over consecutive windows of _EVAL_WINDOW
-    timesteps, the state carried across.
+    It runs forward_window's kernel at B=1 over consecutive windows of
+    _EVAL_WINDOW timesteps, the state carried across: a driver apart from
+    eval's wavefront with the same GEMM shapes, so the same bits, that
+    keeps every step's spikes.
     """
-    record = _forward_sequences(net, [spikes])
+    dims = net.config.layer_dims
+    spikes = np.asarray(spikes)
+    if spikes.ndim != 2 or spikes.shape[1] != dims[0]:
+        raise ValueError(f"expected [T x {dims[0]}] input, got shape {spikes.shape}")
+    T = len(spikes)
+    record = ActivationRecord(
+        input_spikes=(spikes != 0).view(np.uint8),
+        hidden_spikes=[np.empty((T, h), dtype=np.uint8) for h in dims[1:-1]],
+        output_membrane=np.empty((T, dims[-1])),
+    )
+    ws = _Workspace(dims, min(_EVAL_WINDOW, T), 1)
+    for lo in range(0, T, _EVAL_WINDOW):
+        x = spikes[lo:lo + _EVAL_WINDOW, None, :].astype(np.float64)
+        acts, _ = _forward_window(net, ws, x, SPIKING, 1.0)
+        for out, act in zip((*record.hidden_spikes, record.output_membrane), acts[1:]):
+            out[lo:lo + len(x)] = act[:, 0]
     return record.output_membrane, record

@@ -384,6 +384,19 @@ class TestPipelineCommands:
         text = (tmp / "out" / "metrics.txt").read_text()
         assert f"# config_digest={payload['config_digest']}" in text
 
+    def test_eval_per_neuron_energy_charges_every_hidden_and_readout_neuron(self, prepared):
+        p, tmp = prepared
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        dense = tmp / "out" / "dense.ckpt"
+        assert main(["eval", "--config", str(p), "--checkpoint", str(dense)]) == EXIT_OK
+        payload = json.loads((tmp / "out" / "metrics.json").read_text())
+        net, _ = load_checkpoint(dense)
+        n_neurons = sum(net.config.layer_dims[1:])
+        assert n_neurons == 6 + 6 + 6 + 2
+        rep = payload["energy"]["per-neuron"]
+        assert rep["energy_pj_per_timestep"] == (
+            payload["metrics"]["effective_ops"] * rep["e_ac_pj"] + n_neurons * rep["e_update_pj"])
+
     @pytest.mark.parametrize("dt_ms", [1.0, 2.0])
     def test_eval_power_uses_the_session_timestep(self, tmp_path, dt_ms):
         p, _ = write_config(tmp_path, synth={"dt_ms": dt_ms})

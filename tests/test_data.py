@@ -194,6 +194,13 @@ class TestSplit:
         assert [s.timesteps for s in split["val"]] == [10, 10, 10, 10]
         assert [s.timesteps for s in split["test"]] == [10, 10, 10, 10]
 
+    def test_val_length_is_floored(self):
+        # sub-sessions of 7 steps: 3.5 train, 1.75 val; round would give 4 and 2
+        split = split_session(sample_session(T=28))
+        assert [s.timesteps for s in split["train"]] == [3] * 4
+        assert [s.timesteps for s in split["val"]] == [1] * 4
+        assert [s.timesteps for s in split["test"]] == [3] * 4
+
     def test_degenerate_t4(self):
         session = sample_session(T=4)
         split = split_session(session)

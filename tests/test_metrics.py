@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import brute_force_ops
 
 from spikeprune.metrics import (
-    _COUNT_ROWS,
     DegenerateTruthError,
     activation_sparsity,
     connection_sparsity,
@@ -175,14 +176,14 @@ class TestEffectiveOps:
             assert ops == brute_force_ops(rec, net) / T
 
     def test_oracle_on_silent_and_saturated_columns_over_several_blocks(self):
-        """effective_ops counts spikes _COUNT_ROWS rows at a time; a record
-        longer than one block, with columns that never fire and columns that
-        always fire, must give the brute-force count."""
+        """A long record (the length of two 4,096-row blocks and 3 rows),
+        with columns that never fire and columns that always fire, must give
+        the brute-force count."""
         rng = np.random.default_rng(21)
         net = make_net((4, 3, 3, 3, 2), seed=2)
         for layer in net.layers:
             layer.weights[rng.random(layer.weights.shape) < 0.3] = 0.0
-        T = 2 * _COUNT_ROWS + 3
+        T = 8195
 
         def acts(width):
             a = (rng.random((T, width)) < 0.3).astype(np.uint8)
@@ -238,12 +239,13 @@ class TestSegmentEvaluation:
         split = split_session(session)
         net = make_net((6, 8, 8, 8, 2), seed=1)
         segs = split["train"] + split["val"] + split["test"]
-        record = _forward_sequences(net, [seg.spikes for seg in segs])
+        counts = _forward_sequences(net, [seg.spikes for seg in segs])
         total = sum(seg.timesteps for seg in segs)
-        assert record.timesteps == total
-        assert record.input_spikes.shape == (total, 6)
-        assert [h.shape for h in record.hidden_spikes] == [(total, 8)] * 3
-        assert record.output_membrane.shape == (total, 2)
+        assert counts.timesteps == total
+        assert [f.shape for f in counts.fired] == [(6,), (8,), (8,), (8,)]
+        assert all(f.dtype == np.int64 for f in counts.fired)
+        assert all(0 <= f.min() and f.max() <= total for f in counts.fired)
+        assert counts.output_membrane.shape == (total, 2)
 
     def test_grouped_eval_equals_per_segment_eval(self):
         """Segments share the eval wavefront on lanes; every output must
@@ -267,13 +269,11 @@ class TestSegmentEvaluation:
 
         runs = [network_forward(net, seg.spikes) for seg in segs]
         pred = np.concatenate([p for p, _ in runs])
-        record = _forward_sequences(net, [seg.spikes for seg in segs])
-        assert np.array_equal(record.output_membrane, pred)
-        assert np.array_equal(record.input_spikes,
-                              np.concatenate([r.input_spikes for _, r in runs]))
-        for i, h in enumerate(record.hidden_spikes):
-            assert h.any()
-            assert np.array_equal(h, np.concatenate([r.hidden_spikes[i] for _, r in runs]))
+        counts = _forward_sequences(net, [seg.spikes for seg in segs])
+        assert np.array_equal(counts.output_membrane, pred)
+        for i, f in enumerate(counts.fired):
+            assert f.any()
+            assert np.array_equal(f, sum(r.fired[i] for _, r in runs))
 
         # the report from per-segment counts, in integers
         acs = zeros = size = 0
@@ -289,3 +289,23 @@ class TestSegmentEvaluation:
         assert report.effective_ops == acs / steps
         assert report.activation_sparsity == zeros / size
         assert report.r2 == r_squared(pred, np.concatenate([seg.velocity for seg in segs]))
+
+    def test_eval_memory_does_not_grow_with_the_session(self):
+        """At 96 channels over 60,000 steps, 90% pruned, eval keeps the
+        prediction, its stage buffers and per-neuron counts: no spike train
+        of the session and no copy of its input. Those would take 5.8 MB
+        (input) and 9 MB (hidden trains) more."""
+        session = generate_synthetic(seed=6, channels=96, T=60_000, rate=0.3)
+        split = split_session(session)
+        segs = split["train"] + split["val"] + split["test"]
+        net = Network.from_config(NetworkConfig.snn3(96, seed=6))
+        prune_step(net, 90.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = evaluate_segments(net, segs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.effective_ops > 0
+        assert peak - start <= 6_000_000

@@ -296,6 +296,30 @@ def windowed_forward(net, x, Tw):
     return [np.concatenate(layer)[:, 0] for layer in zip(*windows)]
 
 
+def column_sums(x, outputs):
+    """Per connection layer, each input column's sum over the steps: the
+    input x, then every hidden layer's spikes (outputs without the readout)."""
+    return [np.asarray(a).sum(axis=0).astype(np.int64) for a in (x, *outputs)]
+
+
+def check_counts(net, seqs, counts, Tw):
+    """counts (from _forward_sequences over seqs) against the column sums
+    of windowed_forward and of the scalar reference, pooled over seqs, and
+    each sequence run alone through the driver against its own sums."""
+    pooled = [np.zeros(k, dtype=np.int64) for k in net.config.layer_dims[:-1]]
+    for x in seqs:
+        if not len(x):
+            continue
+        sums = column_sums(x, windowed_forward(net, x, Tw)[:-1])
+        ref, _ = scalar_reference_trace(net, x)
+        assert all(np.array_equal(a, r) for a, r in zip(sums, column_sums(x, ref[1:-1])))
+        alone = network._forward_sequences(net, [x]).fired
+        assert all(np.array_equal(a, f) for a, f in zip(sums, alone))
+        pooled = [p + a for p, a in zip(pooled, sums)]
+    assert all(np.array_equal(p, f) for p, f in zip(pooled, counts.fired))
+    assert all(f.dtype == np.int64 for f in counts.fired)
+
+
 class TestEvalDriver:
     """_forward_sequences against B=1 forward_window windows, state carried.
 
@@ -306,7 +330,8 @@ class TestEvalDriver:
     to back, each from zero membranes. The readout is driven past the
     threshold with a nonzero reset value, so a readout that fired, or a
     layer that lost its membranes between windows or kept them across
-    segments, would change the bits."""
+    segments, would change the bits. The driver keeps no spike train, so
+    the spikes are checked through their per-column counts."""
 
     def test_matches_windowed_kernel_and_scalar_reference(self, monkeypatch):
         monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
@@ -318,7 +343,7 @@ class TestEvalDriver:
         lengths = [17, 6, 0, 33, 5, 4, 1, 17, 6, 1, 33, 4, 5, 17, 1, 6, 0, 4]
         assert sum(T > 0 for T in lengths) > network._EVAL_LANES
         seqs = [(rng.random((T, 3)) < 0.5).astype(np.uint8) for T in lengths]
-        record = network._forward_sequences(net, seqs)
+        counts = network._forward_sequences(net, seqs)
 
         at = 0
         for x in seqs:
@@ -326,22 +351,54 @@ class TestEvalDriver:
             rows = slice(at, at + T)
             at += T
             if not T:
-                assert record.output_membrane[rows].shape == (0, 2)
+                assert counts.output_membrane[rows].shape == (0, 2)
                 continue
             acts = windowed_forward(net, x, 5)
-            assert np.array_equal(record.input_spikes[rows], x)
-            for h, a in zip(record.hidden_spikes, acts[:-1]):
-                assert np.array_equal(h[rows], a)
-            assert np.array_equal(record.output_membrane[rows], acts[-1])
-            assert (record.output_membrane[rows] >= p.threshold).any()
-
+            assert np.array_equal(counts.output_membrane[rows], acts[-1])
+            assert (counts.output_membrane[rows] >= p.threshold).any()
             ref, _ = scalar_reference_trace(net, x)
-            for h, ref_h in zip(record.hidden_spikes, ref[1:-1]):
-                assert np.array_equal(h[rows], np.array(ref_h))
-            np.testing.assert_allclose(record.output_membrane[rows], np.array(ref[-1]),
+            np.testing.assert_allclose(counts.output_membrane[rows], np.array(ref[-1]),
                                        rtol=1e-12, atol=0)
-        assert at == record.timesteps
-        assert all(h.any() and not h.all() for h in record.hidden_spikes)
+        assert at == counts.timesteps
+        check_counts(net, seqs, counts, 5)
+        assert all(f.any() and (f < at).any() for f in counts.fired[1:])
+
+    @pytest.mark.parametrize("p", [LifParams(tau=3.0, threshold=0.0),
+                                   LifParams(tau=3.0, threshold=0.5, reset_value=1.0)],
+                             ids=["threshold-0", "reset-above-threshold"])
+    def test_rows_no_gemm_writes_may_fire(self, monkeypatch, p):
+        # a zeroed row's membrane is the decayed carried one: at threshold 0
+        # it fires at once, and with reset_value·decay >= threshold a neuron
+        # that fired keeps firing. So the scan fires in the tails of short
+        # windows, on idle lanes and in layers not in flight, and the counts
+        # must take only the rows the GEMMs read
+        monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
+        scanned = []
+
+        def spying_scan(u, fired, *args, scan=network._lif_scan):
+            scan(u, fired, *args)
+            scanned.append(sum(int(np.count_nonzero(f)) for f in fired or ()))
+
+        monkeypatch.setattr(network, "_lif_scan", spying_scan)
+        net = Network.from_config(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=3),
+                                  init_scale=2.0)
+        rng = np.random.default_rng(3)
+        lengths = [17, 6, 33, 4, 1, 12, 2, 1, 7, 3]
+        assert len(lengths) > network._EVAL_LANES
+        seqs = [(rng.random((T, 3)) < 0.3).astype(np.uint8) for T in lengths]
+        counts = network._forward_sequences(net, seqs)
+        assert sum(scanned) > sum(int(f.sum()) for f in counts.fired[1:])
+
+        at = 0
+        for x in seqs:
+            rows = slice(at, at + len(x))
+            at += len(x)
+            assert np.array_equal(counts.output_membrane[rows], windowed_forward(net, x, 5)[-1])
+            ref, _ = scalar_reference_trace(net, x)
+            np.testing.assert_allclose(counts.output_membrane[rows], np.array(ref[-1]),
+                                       rtol=1e-12, atol=0)
+        check_counts(net, seqs, counts, 5)
+        assert all(f.any() and (f < at).any() for f in counts.fired[1:])
 
     def test_idle_lanes_stay_finite(self):
         # 8 hidden layers with decay near 1: one long segment keeps the
@@ -356,16 +413,21 @@ class TestEvalDriver:
         T = 300 * network._EVAL_WINDOW
         seqs = [(rng.random((n, 4)) < 0.4).astype(np.uint8) for n in [T] + [1] * 20]
         with np.errstate(over="raise", invalid="raise"):
-            record = network._forward_sequences(net, seqs)
+            counts = network._forward_sequences(net, seqs)
             pred, alone = network_forward(net, seqs[0])
-        assert np.array_equal(record.output_membrane[:T], pred)
-        for h, a in zip(record.hidden_spikes, alone.hidden_spikes):
-            assert np.array_equal(h[:T], a) and a.any()
+        assert np.array_equal(counts.output_membrane[:T], pred)
+        assert all(f.any() for f in alone.fired)
         for k, x in enumerate(seqs[1:]):
             acts = windowed_forward(net, x, network._EVAL_WINDOW)
-            for h, a in zip(record.hidden_spikes, acts[:-1]):
-                assert np.array_equal(h[T + k], a[0])
-            assert np.array_equal(record.output_membrane[T + k], acts[-1][0])
+            assert np.array_equal(counts.output_membrane[T + k], acts[-1][0])
+        # the scalar reference takes about 10 s over the long segment, so it
+        # checks the short ones; network_forward's trains are the long one's
+        assert all(np.array_equal(f, a) for f, a in
+                   zip(network._forward_sequences(net, seqs[:1]).fired, alone.fired))
+        short = network._forward_sequences(net, seqs[1:])
+        check_counts(net, seqs[1:], short, network._EVAL_WINDOW)
+        assert all(np.array_equal(f, a + s)
+                   for f, a, s in zip(counts.fired, alone.fired, short.fired))
 
     def test_short_window_tails_stay_finite(self, monkeypatch):
         # one lane runs a full window, then 600 1-step segments, so every
@@ -382,14 +444,15 @@ class TestEvalDriver:
         Tw = network._EVAL_WINDOW
         seqs = [(rng.random((n, 4)) < 0.4).astype(np.uint8) for n in [Tw] + [1] * 600]
         with np.errstate(over="raise", invalid="raise"):
-            record = network._forward_sequences(net, seqs)
+            counts = network._forward_sequences(net, seqs)
         at = 0
         for x in seqs:
             acts = windowed_forward(net, x, Tw)
             rows = slice(at, at + len(x))
             at += len(x)
-            assert np.array_equal(record.hidden_spikes[0][rows], acts[0])
-            assert np.array_equal(record.output_membrane[rows], acts[-1])
+            assert np.array_equal(counts.output_membrane[rows], acts[-1])
+        check_counts(net, seqs, counts, Tw)
+        assert counts.fired[1].any()
 
 
 class TestConfig:

@@ -267,6 +267,29 @@ class TestAdaptiveController:
         assert trace.events[-1].reason == "pruned-max"
         assert prunable_zero_fraction(net) == trace.events[-1].pruned == 43 / 144
 
+    def test_cap_just_below_an_integer_in_floats_is_that_integer(self):
+        # (6, 6, 6, 3, 2) has 36 + 36 + 18 = 90 prunable weights, and 0.7 * 90
+        # is 62.99999999999999 in floats: the cap is 63 weights, not 62
+        assert 0.7 * 90 < 63
+        dense = Network.from_config(NetworkConfig((6, 6, 6, 3, 2), seed=16))
+        assert sum(l.n_weights for l in dense.prunable_layers()) == 90
+        net, trace = adaptive_prune(dense, None, self.hp(pruned_max=0.7),
+                                    trainer=always_succeed())
+        assert trace.events[-1].reason == "pruned-max"
+        assert sum(l.n_masked for l in net.prunable_layers()) == 63
+
+    def test_loss_exactly_at_the_gate_is_accepted(self):
+        # the gate is target·(1 + tolerance); a loss equal to it passes
+        target, tol = 1.0, 0.1
+        trainer = FakeTrainer(lambda i: target * (1.0 + tol), target=target)
+        net, trace = adaptive_prune(indy_net(seed=17), None, self.hp(tolerance=tol),
+                                    trainer=trainer)
+        prunes = trace.of_kind("prune-applied")
+        assert not trace.of_kind("rollback")
+        assert trace.total_epochs() == len(prunes) == 10
+        assert trace.events[-1].reason == "pruned-max"
+        assert prunable_zero_fraction(net) == 0.95
+
     def test_input_net_is_not_mutated(self):
         dense = indy_net(seed=13)
         before = [l.weights.copy() for l in dense.layers]
