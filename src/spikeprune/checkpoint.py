@@ -42,7 +42,10 @@ _LIF_KEYS = {"tau", "threshold", "reset_value", "dt"}
 
 
 def _header_blob(header: dict) -> bytes:
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # a non-finite float (a tau that overflowed) would be written as a bare
+    # Infinity or NaN, which load_checkpoint rejects: refuse before writing
+    return json.dumps(header, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
 
 
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -143,7 +144,11 @@ def config_digest(cfg: dict) -> str:
 
 def _network_config(cfg: dict, channels: int, dt_ms: float) -> NetworkConfig:
     lif_cfg = cfg["lif"]
-    lif = LifParams(tau=lif_cfg["tau_factor"] * dt_ms, threshold=lif_cfg["threshold"],
+    tau = lif_cfg["tau_factor"] * dt_ms
+    if not math.isfinite(tau):  # a checkpoint cannot store it
+        raise ConfigError(f"lif.tau_factor {lif_cfg['tau_factor']!r} times the session's "
+                          f"dt_ms {dt_ms!r} overflows tau")
+    lif = LifParams(tau=tau, threshold=lif_cfg["threshold"],
                     reset_value=lif_cfg["reset_value"], dt=dt_ms)
     return NetworkConfig.snn3(channels, hidden=tuple(cfg["network"]["hidden"]),
                               lif=lif, seed=cfg["seed"])

@@ -30,7 +30,7 @@ class EnergyParams:
     update_count_mode: str = PAPER_CONSISTENT
 
     def __post_init__(self):
-        if self.e_ac_pj < 0 or self.e_update_pj < 0:
+        if not (self.e_ac_pj >= 0 and self.e_update_pj >= 0):
             raise ValueError("energies must be >= 0")
         if not self.dt_ms > 0:
             raise ValueError("dt_ms must be > 0")

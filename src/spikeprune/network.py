@@ -52,7 +52,7 @@ cache.
 
 The driver keeps no spike train. It returns the prediction and, per input
 column of every layer, the number of timesteps the column was nonzero
-(SpikeCounts): each stage sums the input rows its GEMMs read, and the
+(SpikeCounts): each layer sums the input rows its GEMMs read, and the
 activation metrics need nothing more. `network_forward` runs one sequence
 through forward_window's kernel, window by window at B=1, and keeps every
 step's spikes (ActivationRecord); its GEMMs have the wavefront's shapes, so
@@ -486,15 +486,18 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     At stage s connection layer l runs window s - l of every lane that has
     one. Its current is one [n x K] GEMM per window, the shape of a B=1 run,
     written into the layer's columns of u; a sequence's first window zeroes
-    the layer's carried membranes on its lane. Then one _lif_scan advances
-    every column of every lane.
+    the layer's carried membranes on its lane. Every decision is the layer's
+    own: when it runs a full window on every lane, its GEMMs go in one
+    stacked call; otherwise it first zeroes its columns of u, so the rows no
+    GEMM writes (a short window's tail, an idle lane) only decay. Then one
+    _lif_scan advances every column of every lane.
 
     Returns SpikeCounts.fired: per connection layer, the number of rows in
-    which each input column was nonzero. Each stage sums, in float64, the
-    rows its GEMMs read from the input buffers: all of them in one GEMV when
-    every layer runs a full window on every lane, otherwise each window's n
-    rows, since the rows past them are stale or left by an idle lane. A sum
-    of 0.0s and 1.0s is exact in float64, and a session's spikes are 0 or 1
+    which each input column was nonzero. Each layer sums, in float64, the
+    rows its GEMMs read from its input block: all of them in one GEMV after
+    the stacked call, otherwise each window's n rows after its GEMM, since
+    the rows past them are stale or left by an idle lane. A sum of 0.0s and
+    1.0s is exact in float64, and a session's spikes are 0 or 1
     (SpikeSession checks), so each sum is the nonzero count.
     """
     dims = net.config.layer_dims
@@ -518,49 +521,40 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     xs = [x0] + [h[:, :, off[l]:off[l + 1]].transpose(1, 0, 2) for l in range(n_layers - 1)]
     # C-contiguous W^T, as in forward_window
     w_t = [layer.effective().T.copy() for layer in net.layers]
+    # each layer's input block as [Tw·B x K] rows, all of which a full window reads
+    rows = [x0.reshape(B * Tw, dims[0])] + [
+        h[:, :, off[l]:off[l + 1]].reshape(Tw * B, -1) for l in range(n_layers - 1)]
     ones = np.ones(Tw * B)
-    # the nonzero rows of every input column, as float64, laid out like x0 and h
-    count_x0, count_h = np.zeros(dims[0]), np.zeros(off[-1])
-    counts = [count_x0] + [count_h[off[l]:off[l + 1]] for l in range(n_layers - 1)]
+    # the nonzero rows of every input column, as float64
+    counts = [np.zeros(k) for k in dims[:-1]]
 
     for stage in range(max(map(len, lanes)) + n_layers - 1):
         # the spikes each hidden layer made last stage: the input of the layer above
         np.copyto(h, spikes)
-        runs, full = [], True
         for l, x in enumerate(xs):
             cols = slice(off[l], off[l + 1])
             w = stage - l
             run = [(b, lane[w]) for b, lane in enumerate(lanes) if 0 <= w < len(lane)]
-            runs.append(run)
             for b, (k, lo, n) in run:
                 if l == 0:
                     x0[b, :n] = sequences[k][lo:lo + n]
                 if not lo:
                     d[b, cols] = 0.0
             if len(run) == B and all(n == Tw for _, (_, _, n) in run):
-                # the per-lane [Tw x K] GEMMs in one call
+                # the per-lane [Tw x K] GEMMs in one call, then every row counts
                 np.matmul(x, w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
+                counts[l] += ones @ rows[l]
                 continue
-            full = False
             # rows no GEMM writes (a short window's tail, an idle lane) are
             # zero, so the scan only decays their membranes; stale rows would
-            # be added in again at every stage
-            idle = set(range(B))
+            # be added in again at every stage, and must not count
+            u[:, :, cols] = 0.0
             for b, (k, lo, n) in run:
-                idle.remove(b)
                 np.matmul(x[b, :n], w_t[l], out=u[:n, b, cols])
-                u[n:, b, cols] = 0.0
-            for b in idle:
-                u[:, b, cols] = 0.0
-        if full:
-            count_x0 += ones @ x0.reshape(B * Tw, dims[0])
-            count_h += ones @ h.reshape(Tw * B, off[-1])
-        else:
-            for x, count, run in zip(xs, counts, runs):
-                for b, (k, lo, n) in run:
-                    count += ones[:n] @ x[b, :n]
+                counts[l] += ones[:n] @ x[b, :n]
         _lif_scan(u_t, fired_t, d, threshold, decay, p.reset_value * decay)
-        for b, (k, lo, n) in runs[-1]:
+        # run is the readout's
+        for b, (k, lo, n) in run:
             pred[starts[k] + lo:starts[k] + lo + n] = u[:n, b, off[-2]:]
     return [c.astype(np.int64) for c in counts]
 

@@ -42,7 +42,7 @@ The terminating event carries one of four reasons:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "PruneHyperParams",
     "TraceEvent",
     "PruneTrace",
-    "PruneStepInfo",
     "select_prune_targets",
     "prune_step",
     "prunable_zero_fraction",
@@ -91,7 +90,7 @@ class PruneHyperParams:
                 f"p_start must be at most 100 percentage points, got {self.p_start!r}")
         if not (0 < self.pruned_max < 1):
             raise ValueError("pruned_max must be in (0,1)")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
@@ -157,16 +156,6 @@ class PruneTrace:
         return len(self.of_kind("epoch"))
 
 
-@dataclass
-class PruneStepInfo:
-    removed_per_layer: list[int] = field(default_factory=list)
-    clamped: bool = False
-
-    @property
-    def total_removed(self) -> int:
-        return sum(self.removed_per_layer)
-
-
 def prunable_zero_fraction(net: Network) -> float:
     """Mask-zero fraction over the prunable layers (the bookkept `pruned`)."""
     layers = net.prunable_layers()
@@ -196,8 +185,9 @@ def select_prune_targets(layers: list[WeightLayer], count: int):
 
 
 def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
-               max_total_zeros: int | None = None) -> PruneStepInfo:
-    """Mask out the lowest-magnitude weights at `rate`% of original counts.
+               max_total_zeros: int | None = None) -> list[int]:
+    """Mask out the lowest-magnitude weights at `rate`% of original counts;
+    returns the number removed from each prunable layer.
 
     The prunable layers form selection groups: each layer on its own in
     per-layer scope, all of them pooled in global scope. Each group requests
@@ -210,16 +200,14 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
     if scope not in (PER_LAYER, GLOBAL):
         raise ValueError(f"unknown scope {scope!r}")
     prunable = net.prunable_layers()
-    info = PruneStepInfo(removed_per_layer=[0] * len(prunable))
+    removed = [0] * len(prunable)
     if not prunable:
-        info.clamped = True
-        return info
+        return removed
     budget = None
     if max_total_zeros is not None:
         budget = max_total_zeros - sum(l.n_masked for l in prunable)
         if budget <= 0:
-            info.clamped = True
-            return info
+            return removed
 
     indices = list(range(len(prunable)))
     groups = [[i] for i in indices] if scope == PER_LAYER else [indices]
@@ -227,14 +215,9 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
     for group in groups:
         layers = [prunable[i] for i in group]
         count = round(rate / 100.0 * sum(l.n_weights for l in layers))
-        available = sum(l.n_weights - l.n_masked for l in layers)
-        if count > available:
-            count = available
-            info.clamped = True
-        counts.append(count)
+        counts.append(min(count, sum(l.n_weights - l.n_masked for l in layers)))
     if budget is not None and sum(counts) > budget:
         counts = _split_budget(counts, budget)
-        info.clamped = True
     for group, count in zip(groups, counts):
         layers = [prunable[i] for i in group]
         layer_idx, rows, cols = select_prune_targets(layers, count)
@@ -242,8 +225,8 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
             sel = layer_idx == j
             layer.mask[rows[sel], cols[sel]] = 0
             layer.apply_mask()
-            info.removed_per_layer[group[j]] = int(np.count_nonzero(sel))
-    return info
+            removed[group[j]] = int(np.count_nonzero(sel))
+    return removed
 
 
 def _split_budget(requests: list[int], budget: int) -> list[int]:
@@ -316,7 +299,7 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
 
     while rate >= hp.p_min and sum(l.n_masked for l in prunable) < max_zeros:
         snap = net.snapshot()
-        if prune_step(net, rate, hp.scope, max_total_zeros=max_zeros).total_removed == 0:
+        if not any(prune_step(net, rate, hp.scope, max_total_zeros=max_zeros)):
             reason = "nothing-left-to-prune"
             break
         pruned = prunable_zero_fraction(net)

@@ -319,8 +319,7 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
     left of the cap budget, each group gets its exact fractional share
     request * budget / total rounded down, and the units left over go to the
     largest fractional parts, ties to the lower group. `net` is not
-    touched; returns (masks as nested lists, removed per prunable layer,
-    clamped).
+    touched; returns (masks as nested lists, removed per prunable layer).
     """
     layers = net.layers[:-1]  # every layer but the readout
     masks = [[[int(m) for m in row] for row in l.mask] for l in layers]
@@ -330,8 +329,7 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
         zeros = sum(row.count(0) for mask in masks for row in mask)
         budget = max_total_zeros - zeros
     if not layers or (budget is not None and budget <= 0):
-        return masks, removed, True
-    clamped = False
+        return masks, removed
     if scope == PER_LAYER:
         groups = [[i] for i in range(len(layers))]
     else:
@@ -347,14 +345,9 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
                     size += 1
                     if masks[i][r][c]:
                         live.append((abs(float(w[r, c])), i, r, c))
-        count = round(rate / 100.0 * size)
-        if count > len(live):
-            count = len(live)
-            clamped = True
         lives.append(live)
-        counts.append(count)
+        counts.append(min(round(rate / 100.0 * size), len(live)))
     if budget is not None and sum(counts) > budget:
-        clamped = True
         shares = [Fraction(c * budget, sum(counts)) for c in counts]
         counts = [math.floor(f) for f in shares]
         by_part = sorted(range(len(shares)), key=lambda g: (counts[g] - shares[g], g))
@@ -364,7 +357,7 @@ def brute_force_prune(net, rate, scope=PER_LAYER, max_total_zeros=None):
         for _, i, r, c in sorted(live)[:count]:
             masks[i][r][c] = 0
             removed[i] += 1
-    return masks, removed, clamped
+    return masks, removed
 
 
 class FakeTrainer:

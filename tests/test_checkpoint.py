@@ -89,6 +89,16 @@ class TestErrors:
         config.write_text(json.dumps({"seed": 1}))
         assert main(["eval", "--config", str(config), "--checkpoint", str(p)]) == EXIT_DATA
 
+    def test_non_finite_tau_is_not_written(self, tmp_path):
+        # LifParams takes tau = inf (no leak), but the header would hold a
+        # bare Infinity that load_checkpoint rejects
+        net = Network.from_config(NetworkConfig.snn3(5, hidden=(4, 3, 4),
+                                                     lif=LifParams(tau=np.inf)))
+        p = tmp_path / "inf.ckpt"
+        with pytest.raises(ValueError):
+            save_checkpoint(p, net)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated(self, tmp_path):
         net = make_net()
         p = tmp_path / "t.ckpt"

@@ -311,6 +311,17 @@ class TestPipelineCommands:
         assert err.startswith("config error:") and "p_start" in err
         assert not (tmp / "bad").exists()
 
+    def test_tau_overflow_exits_2_without_checkpoint_or_trace(self, prepared, capsys):
+        # 1e308 x dt_ms 4 is inf: pretrain wrote "tau":Infinity, which its
+        # own loader then rejected
+        _, tmp = prepared
+        bad, _ = write_config(tmp, out_dir=str(tmp / "bad"), lif={"tau_factor": 1e308})
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lif.tau_factor" in err
+        assert not (tmp / "bad").exists()
+
     @pytest.mark.parametrize("section", ["train", "finetune"])
     def test_negative_max_epochs_exits_2_without_checkpoint(self, prepared, capsys, section):
         p, tmp = prepared

@@ -73,6 +73,9 @@ class TestProperties:
             energy_per_timestep(-1.0)
         with pytest.raises(ValueError):
             EnergyParams(e_ac_pj=-0.1)
+        for key in ("e_ac_pj", "e_update_pj"):
+            with pytest.raises(ValueError):
+                EnergyParams(**{key: float("nan")})
 
 
 class TestReport:

@@ -64,11 +64,10 @@ class TestSelectTargets:
 class TestPruneStep:
     def test_per_layer_counts_indy(self):
         net = indy_net(seed=1)
-        info = prune_step(net, 10.0, "per-layer")
-        assert info.removed_per_layer == [480, 250, 250]
-        assert not info.clamped
+        removed_per_layer = prune_step(net, 10.0, "per-layer")
+        assert removed_per_layer == [480, 250, 250]
         # removed entries are the smallest magnitudes of each layer
-        for layer, removed in zip(net.prunable_layers(), info.removed_per_layer):
+        for layer, removed in zip(net.prunable_layers(), removed_per_layer):
             masked_mags = np.abs(layer.weights)[layer.mask == 0]
             live_mags = np.abs(layer.weights)[layer.mask == 1]
             assert masked_mags.size == removed
@@ -76,15 +75,14 @@ class TestPruneStep:
 
     def test_global_pool(self):
         net = indy_net(seed=2)
-        info = prune_step(net, 10.0, "global")
-        assert info.total_removed == 980
+        assert sum(prune_step(net, 10.0, "global")) == 980
         # output layer untouched
         assert net.layers[-1].mask.all()
 
     def test_exhausting_rate_clamps(self):
         net = indy_net(seed=3)
-        info = prune_step(net, 200.0, "per-layer")
-        assert info.clamped
+        removed_per_layer = prune_step(net, 200.0, "per-layer")
+        assert removed_per_layer == [l.n_weights for l in net.prunable_layers()]
         for layer in net.prunable_layers():
             assert not layer.mask.any()
         assert net.layers[-1].mask.all()
@@ -121,10 +119,8 @@ class TestPruneStep:
             cap = None if trial % 3 == 0 else int(rng.integers(0, total + 1))
             for _ in range(int(rng.integers(1, 5))):
                 rate = float(rng.choice([0.5, 3.3, 10.0, 37.0, 80.0, 150.0]))
-                masks, removed, clamped = brute_force_prune(net, rate, scope, cap)
-                info = prune_step(net, rate, scope, max_total_zeros=cap)
-                assert info.removed_per_layer == removed
-                assert info.clamped == clamped
+                masks, removed = brute_force_prune(net, rate, scope, cap)
+                assert prune_step(net, rate, scope, max_total_zeros=cap) == removed
                 for layer, mask in zip(net.prunable_layers(), masks):
                     assert layer.mask.tolist() == mask
                     assert not layer.weights[layer.mask == 0].any()
@@ -358,6 +354,8 @@ class TestHyperParamValidation:
             PruneHyperParams(pruned_max=1.5)
         with pytest.raises(ValueError):
             PruneHyperParams(tolerance=-0.1)
+        with pytest.raises(ValueError):
+            PruneHyperParams(tolerance=float("nan"))
         with pytest.raises(ValueError):
             PruneHyperParams(scope="columnwise")
         with pytest.raises(ValueError):

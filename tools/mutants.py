@@ -6,11 +6,13 @@
 Each mutant is one edit of a package file, given as (file, old text, new
 text). For each, the script copies src/, tests/ and pyproject.toml into a
 temporary directory, applies the edit there, and runs the tier-1 suite
-without tests/test_demos.py, stopping at the first failure. It prints KILLED
-with the first failing test, or SURVIVED. The unmutated copy runs first and
-must pass; an edit whose old text does not occur exactly once is reported
-STALE, so the list has to follow the code. A mutant that survives needs a
-test that kills it, or a note below saying why it is equivalent.
+without tests/test_demos.py and tests/test_mutants.py (which would fail on
+any edit), stopping at the first failure. It prints KILLED with the first
+failing test, or SURVIVED. The unmutated copy runs first and must pass; an
+edit whose old text does not occur exactly once is reported STALE, so the
+list has to follow the code (tests/test_mutants.py checks that in tier-1). A
+mutant that survives needs a test that kills it, or a note below saying why
+it is equivalent.
 
 Standard library only; not part of tier-1 or CI. A mutant takes about as
 long as tier-1 up to its first failure (tier-1 is about 45 s on 2 cores).
@@ -48,17 +50,23 @@ MUTANTS = [
      "pruned_max * total + 1e-6", "pruned_max * total"),
     ("gate-ties-fail", PKG + "pruning.py",
      "else (current > gate):", "else (current >= gate):"),
+    ("tolerance-nan-accepted", PKG + "pruning.py",
+     "if not self.tolerance >= 0:", "if self.tolerance < 0:"),
     # eval, data and the CLI
     ("eval-neurons-without-readout", PKG + "cli.py",
      "n_neurons = sum(net.config.layer_dims[1:])", "n_neurons = sum(net.config.layer_dims[1:-1])"),
     ("split-val-length-rounded", PKG + "data.py",
      "n_val = int(SPLIT_FRACTIONS[1] * length)", "n_val = round(SPLIT_FRACTIONS[1] * length)"),
     ("count-every-row", PKG + "network.py",
-     "        if full:\n            count_x0 +=", "        if True:\n            count_x0 +="),
+     "counts[l] += ones[:n] @ x[b, :n]", "counts[l] += ones @ rows[l]"),
+    ("full-window-count-dropped", PKG + "network.py",
+     "                counts[l] += ones @ rows[l]\n", ""),
     ("eval-stale-tail-rows", PKG + "network.py",
-     "                u[n:, b, cols] = 0.0\n", ""),
+     "            u[:, :, cols] = 0.0\n", ""),
     ("eval-membranes-kept-across-segments", PKG + "network.py",
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
+    ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
+     "allow_nan=False", "allow_nan=True"),
     # the flat Adam pass and synthesis
     ("adam-without-second-moment-correction", PKG + "training.py",
      "np.sqrt(v / b2t)", "np.sqrt(v)"),
@@ -75,7 +83,7 @@ def tier1(workdir: Path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(workdir / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--ignore=tests/test_demos.py", "tests"],
+         "--ignore=tests/test_demos.py", "--ignore=tests/test_mutants.py", "tests"],
         cwd=workdir, env=env, capture_output=True, text=True)
     found = FAILED.search(proc.stdout)
     lines = proc.stdout.strip().splitlines()
