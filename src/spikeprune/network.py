@@ -115,6 +115,10 @@ class LifParams:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not self.threshold >= -math.inf:  # +-inf is legal: never or always fires
+            raise ValueError(f"threshold must not be NaN, got {self.threshold}")
+        if not math.isfinite(self.reset_value):
+            raise ValueError(f"reset_value must be finite, got {self.reset_value}")
 
     @property
     def decay(self) -> float:
@@ -366,8 +370,7 @@ class _Workspace:
         self.fired_t = [list(f) for f in self.fired]
 
 
-def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, width: float,
-                    effective=None):
+def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, effective=None):
     """Advance ws's membranes over x [n x B x input_dim]; returns (acts, membranes).
 
     The body of forward_window: the state is the workspace's d, left as the
@@ -404,7 +407,7 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, widt
             out = ws.spikes[i][:n]
             for ut, st in zip(u, out):
                 ut += d
-                s = _sigmoid((ut - p.threshold) / width)
+                s = _sigmoid(ut - p.threshold)
                 st[...] = s
                 np.multiply(ut * (1.0 - s) + p.reset_value * s, decay, out=d)
         acts.append(out)
@@ -413,7 +416,7 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, widt
 
 
 def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
-                   mode: str = SPIKING, width: float = 1.0, ws=None):
+                   mode: str = SPIKING, ws=None):
     """Run one window of B sequences; returns (acts, membranes, final_state).
 
     x is [Tw x B x input_dim] float64: B independent equal-length sequences
@@ -423,7 +426,7 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     membrane, so acts[-1] is the prediction); membranes[l] is layer l's
     pre-reset membrane. Both are [Tw x B x H] per layer, views of the
     workspace ws (a new one by default). DIFFERENTIABLE mode (test-only)
-    replaces the spike step with sigmoid((u - threshold)/width).
+    replaces the spike step with sigmoid(u - threshold).
 
     Layer-major: each layer's input current for the whole window is one GEMM
     over the layer below's finished output, pooling the B sequences into
@@ -441,7 +444,7 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     p = net.config.lif
     for d, v in zip(ws.d, state):
         np.multiply(v, p.decay, out=d)
-    acts, membranes = _forward_window(net, ws, x, mode, width)
+    acts, membranes = _forward_window(net, ws, x, mode)
     if not Tw:
         return acts, membranes, [np.array(v, dtype=np.float64) for v in state]
     final_state = [np.where(s[-1] != 0, p.reset_value, u[-1]) if mode == SPIKING
@@ -582,7 +585,7 @@ def network_forward(net: Network, spikes: np.ndarray):
     ws = _Workspace(dims, min(_EVAL_WINDOW, T), 1)
     for lo in range(0, T, _EVAL_WINDOW):
         x = spikes[lo:lo + _EVAL_WINDOW, None, :].astype(np.float64)
-        acts, _ = _forward_window(net, ws, x, SPIKING, 1.0)
+        acts, _ = _forward_window(net, ws, x, SPIKING)
         for out, act in zip((*record.hidden_spikes, record.output_membrane), acts[1:]):
             out[lo:lo + len(x)] = act[:, 0]
     return record.output_membrane, record

@@ -1,10 +1,10 @@
 """Backpropagation-through-time training for the LIF decoder.
 
 The forward spike step is non-differentiable, so the backward pass swaps in
-a triangular surrogate derivative centered on the threshold; the reset
-assignment is detached so no gradient flows through it. A test-only
-"differentiable" mode replaces the forward step with a sigmoid of
-(u - threshold)/width and differentiates the *whole* graph (reset included),
+a unit-width triangular surrogate derivative, max(0, 1 - |u - threshold|);
+the reset assignment is detached so no gradient flows through it. A
+test-only "differentiable" mode replaces the forward step with
+sigmoid(u - threshold) and differentiates the *whole* graph (reset included),
 which makes analytic gradients directly checkable against finite
 differences. Training itself always runs the spiking forward step, with Adam.
 
@@ -78,7 +78,6 @@ class TrainConfig:
     learning_rate: float = 2e-3
     max_epochs: int = 100
     batch_length: int = 100
-    surrogate_width: float = 1.0
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
@@ -87,22 +86,18 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.batch_length < 1:
             raise ValueError("batch_length must be >= 1")
-        if not self.surrogate_width > 0:
-            raise ValueError("surrogate_width must be > 0")
 
 
-def surrogate_spike_grad(u, params: LifParams, width: float, out=None):
-    """Triangular stand-in for d(spike)/d(membrane), peak 1/width at threshold.
+def surrogate_spike_grad(u, params: LifParams, out=None):
+    """Triangular stand-in for d(spike)/d(membrane): max(0, 1 - |u - threshold|).
 
     Written into out when given (an array shaped like u).
     """
     u = np.asarray(u, dtype=np.float64)
     g = np.subtract(u, params.threshold, out=np.empty_like(u) if out is None else out)
     np.abs(g, out=g)
-    g /= width
     np.subtract(1.0, g, out=g)
     np.maximum(0.0, g, out=g)
-    g /= width
     return g
 
 
@@ -138,7 +133,7 @@ class _TrainWorkspace(_Workspace):
 
 
 def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: np.ndarray,
-                     mode: str, width: float, effective, grads) -> float:
+                     mode: str, effective, grads) -> float:
     """Write the window-MSE gradient of every weight matrix into grads.
 
     acts and membranes are what forward_window returned for the window, run
@@ -179,7 +174,7 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
         elif mode == SPIKING:
             s = acts[i + 1]
             dk = ws.dk[i][:n]
-            du *= surrogate_spike_grad(u, p, width, out=dk)
+            du *= surrogate_spike_grad(u, p, out=dk)
             np.subtract(1.0, s, out=dk)
             dk *= decay
             for du_t, dk_t in zip(du_r, ws.dk_r[i][skip:]):
@@ -188,7 +183,7 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
                 c = du_t
         else:
             s = acts[i + 1]
-            g = s * (1.0 - s) / width
+            g = s * (1.0 - s)
             du *= g
             keep = 1.0 - s
             # reset path differentiated too: v = u(1-s) + r*s
@@ -222,8 +217,7 @@ def _flat_mask(net: Network) -> np.ndarray:
 
 
 def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
-                      mode: str = SPIKING, width: float = 1.0,
-                      state: list[np.ndarray] | None = None):
+                      mode: str = SPIKING, state: list[np.ndarray] | None = None):
     """Loss and weight gradients for one contiguous window.
 
     Returns (loss, grads, final_state); state defaults to zeros. grads are
@@ -242,12 +236,12 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     effective = [layer.effective() for layer in net.layers]
     ws = _TrainWorkspace(net.config.layer_dims, x.shape[0], 1)
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
-                                                  mode, width, ws=ws)
+                                                  mode, ws=ws)
     loss = mse_loss(acts[-1][:, 0, :], y)
     mask = _flat_mask(net)
     g = np.empty_like(mask)
     grads = _layer_views(g, net.layers)
-    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, width, effective, grads)
+    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, effective, grads)
     g *= mask
     return loss, grads, [s[0] for s in final_state]
 
@@ -333,10 +327,9 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
             np.multiply(w, mask, out=eff)
-            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING,
-                                              cfg.surrogate_width, effective)
+            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING, effective)
             total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING,
-                                         cfg.surrogate_width, effective, grads)
+                                         effective, grads)
             g *= mask
             total_n += acts[-1].size
             optimizer.step(w, g)

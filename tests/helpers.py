@@ -80,12 +80,12 @@ def scalar_reference_forward(net, spikes):
     return np.array(acts[-1]).reshape(len(spikes), 2)
 
 
-def scalar_surrogate_grads(net, spikes, velocity, width=1.0, state=None):
+def scalar_surrogate_grads(net, spikes, velocity, state=None):
     """Plain-Python surrogate BPTT oracle for the SPIKING-mode gradients.
 
     The loss is the MSE over every output at every step. A hidden neuron's
     membrane gradient is dL/ds * g(u) + decay * dL/du(t + 1) * (1 - s), with
-    g the triangular surrogate max(0, 1 - |u - threshold|/width)/width and
+    g the triangular surrogate max(0, 1 - |u - threshold|) and
     the reset detached; the readout's is dL/dpred + decay * dL/du(t + 1).
     Returns (loss, grads) with masked entries zero.
     """
@@ -113,7 +113,7 @@ def scalar_surrogate_grads(net, spikes, velocity, width=1.0, state=None):
                 if i < n_layers - 1:
                     u = membranes[i][t][j]
                     s = acts[i + 1][t][j]
-                    g = max(0.0, 1.0 - abs(u - p.threshold) / width) / width
+                    g = max(0.0, 1.0 - abs(u - p.threshold))
                     du[t][j] = err[t][j] * g + decay * carry[j] * (1.0 - s)
                 else:
                     du[t][j] = err[t][j] + decay * carry[j]
@@ -129,7 +129,7 @@ def scalar_surrogate_grads(net, spikes, velocity, width=1.0, state=None):
     return loss / n, grads
 
 
-def finite_difference_grads(net, x, y, width=1.0, h=1e-6):
+def finite_difference_grads(net, x, y, h=1e-6):
     """Central-difference oracle over the differentiable-mode loss."""
     grads = []
     for layer in net.layers:
@@ -139,9 +139,9 @@ def finite_difference_grads(net, x, y, width=1.0, h=1e-6):
             idx = it.multi_index
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE, width=width)
+            lp, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
             layer.weights[idx] = orig - h
-            lm, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE, width=width)
+            lm, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
             layer.weights[idx] = orig
             g[idx] = (lp - lm) / (2 * h)
         grads.append(g)
@@ -183,7 +183,7 @@ class PerLayerAdam:
             layer.weights -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
-def per_layer_window_grads(net, acts, membranes, truth, width):
+def per_layer_window_grads(net, acts, membranes, truth):
     """SPIKING-mode gradients of one forward_window, layer by layer.
 
     A hidden layer's reverse scan is du[t] += decay * c * keep[t], three
@@ -207,7 +207,7 @@ def per_layer_window_grads(net, acts, membranes, truth, width):
                 c = du_t
         else:
             s = acts[i + 1]
-            du = src * surrogate_spike_grad(u, p, width)
+            du = src * surrogate_spike_grad(u, p)
             keep = 1.0 - s
             for du_t, kt in zip(du[::-1], keep[::-1]):
                 du_t += decay * c * kt
@@ -240,10 +240,8 @@ def per_layer_train_epoch(net, segments, cfg, optimizer):
         state = [np.zeros((len(group), d)) for d in net.config.layer_dims[1:]]
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            acts, membranes, state = forward_window(net, x[lo:hi], state, SPIKING,
-                                                    cfg.surrogate_width)
-            grads = per_layer_window_grads(net, acts, membranes, y[lo:hi],
-                                           cfg.surrogate_width)
+            acts, membranes, state = forward_window(net, x[lo:hi], state, SPIKING)
+            grads = per_layer_window_grads(net, acts, membranes, y[lo:hi])
             total_sq += float(np.sum((acts[-1] - y[lo:hi]) ** 2))
             total_n += acts[-1].size
             optimizer.step(net, grads)

@@ -77,12 +77,14 @@ class TestConfig:
         ("train", "max_epochs", "2"),  # a string where an int belongs
         ("prune", "tolerence", 0.5),  # a misspelt key
         # keys that are gone: Adam is the only optimizer, the controller
-        # decides how long it fine-tunes, tau is tau_factor * dt, and eval's
-        # energy runs at the session's dt_ms
+        # decides how long it fine-tunes, tau is tau_factor * dt, eval's
+        # energy runs at the session's dt_ms, and the surrogate has unit width
         ("train", "optimizer", "adam"),
         ("finetune", "max_epochs", 5),
         ("lif", "tau", 20.0),
         ("energy", "dt_ms", 4.0),
+        ("train", "surrogate_width", 1.0),
+        ("finetune", "surrogate_width", 1.0),
     ])
     def test_schema_names_the_bad_path(self, tmp_path, capsys, section, key, value):
         p, _ = write_config(tmp_path, **{section: {key: value}})
@@ -127,7 +129,7 @@ class TestConfig:
                 err = capsys.readouterr().err
                 assert err.startswith("config error:") and "Traceback" not in err
                 cases += 1
-        assert cases == 2 * len(paths) == 78
+        assert cases == 2 * len(paths) == 74
 
     @pytest.mark.parametrize("command, section, key, literal", [
         ("prune", "prune", "tolerance", "NaN"),  # would prune straight to the cap
@@ -211,7 +213,7 @@ class TestConfigFuzz:
                     assert code == EXIT_CONFIG, (path, value)
                     assert err.startswith(f"config error: {path[-1]} must be"), err
                     assert not (case / "unit.spk").exists()
-        assert len(paths) == 25 and len(cases) == 53
+        assert len(paths) == 23 and len(cases) == 49
         assert {EXIT_OK, EXIT_CONFIG, EXIT_DATA} <= codes
 
 

@@ -57,6 +57,16 @@ class TestLifParams:
             LifParams(tau=0.0)
         with pytest.raises(ValueError):
             LifParams(tau=1.0, dt=-1.0)
+        # a NaN threshold would silently never fire
+        with pytest.raises(ValueError):
+            LifParams(threshold=math.nan)
+        for reset_value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                LifParams(reset_value=reset_value)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf])
+    def test_infinite_threshold_allowed(self, threshold):
+        assert LifParams(threshold=threshold).threshold == threshold
 
 
 class TestMembraneUpdate:

@@ -60,18 +60,21 @@ def scalar_final_state(net, spikes, state):
 
 
 class TestSurrogate:
+    @pytest.mark.parametrize("threshold", [1.0, 0.3])
+    def test_unit_triangle(self, threshold):
+        # at the threshold, half way down either side, at the feet, beyond
+        u = [threshold + d for d in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, 0.25, -0.75)]
+        expected = [max(0.0, 1.0 - abs(v - threshold)) for v in u]
+        got = surrogate_spike_grad(np.array(u), LifParams(threshold=threshold))
+        assert_same_bits(got, np.array(expected))
+
     def test_peak_at_threshold(self):
         p = LifParams(threshold=1.0)
-        assert surrogate_spike_grad(np.array([1.0]), p, width=0.5)[0] == 2.0
-
-    def test_zero_outside_support(self):
-        p = LifParams(threshold=1.0)
-        assert surrogate_spike_grad(np.array([2.0]), p, width=1.0)[0] == 0.0
-        assert surrogate_spike_grad(np.array([-0.5]), p, width=1.0)[0] == 0.0
+        assert surrogate_spike_grad(np.array([1.0]), p)[0] == 1.0
 
     def test_halfway(self):
         p = LifParams(threshold=1.0)
-        assert surrogate_spike_grad(np.array([1.5]), p, width=1.0)[0] == 0.5
+        assert surrogate_spike_grad(np.array([1.5]), p)[0] == 0.5
 
 
 class TestGradientCheck:

@@ -67,9 +67,11 @@ MUTANTS = [
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
     ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
      "allow_nan=False", "allow_nan=True"),
-    # the flat Adam pass and synthesis
+    # training and synthesis
     ("adam-without-second-moment-correction", PKG + "training.py",
      "np.sqrt(v / b2t)", "np.sqrt(v)"),
+    ("surrogate-unclipped", PKG + "training.py",
+     "    np.maximum(0.0, g, out=g)\n", ""),
     ("synthesis-drive-in-reverse-channel-order", PKG + "data.py",
      "        for k in read:\n", "        for k in read[::-1]:\n"),
 ]
