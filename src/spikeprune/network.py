@@ -11,7 +11,11 @@ The per-step update lives in one helper, `_lif_scan`: add the decayed
 membrane carried from the step before, compare with the threshold, and
 carry on the decayed membrane, reset (as reset_value·decay, the same bits)
 wherever a neuron fired. It runs in time order, elementwise; every GEMM runs
-outside it, over whole windows.
+outside it, over whole windows. Its threshold, decay and reset operands are
+float64 arrays (a float becomes 0-d) once per scan, not Python floats:
+numpy converts a Python float operand into an array on every call, up to
+a third of a step op's cost at training widths, and the 0-d array gives the
+same IEEE operations on the same values.
 
 Training calls `forward_window`: a window of timesteps for B equal-length
 sequences in lockstep, from a given membrane state. It is layer-major: the
@@ -111,6 +115,11 @@ class LifParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        for name in ("tau", "threshold", "reset_value", "dt"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:  # an int past float64's range, e.g. from a JSON header
+                raise ValueError(f"{name} does not fit a float64") from None
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not self.dt > 0:
@@ -322,7 +331,7 @@ def _sigmoid(x):
     return out
 
 
-def _lif_scan(u, fired, d, threshold, decay: float, reset_decayed: float) -> None:
+def _lif_scan(u, fired, d, threshold, decay, reset_decayed) -> None:
     """Advance membranes through u's time steps, in place: the LIF update.
 
     u is a sequence of step arrays (an array [Tw x ...] or a list of its
@@ -332,7 +341,15 @@ def _lif_scan(u, fired, d, threshold, decay: float, reset_decayed: float) -> Non
     or reset_decayed = reset_value·decay wherever a neuron fired: the bits
     of decaying the reset membrane. fired None marks readout-only columns,
     which never fire and skip the compare and reset.
+
+    threshold, decay and reset_decayed are floats or float64 arrays. Each is
+    taken as a float64 array once, before the steps: numpy converts a Python
+    float operand into an array on every call, up to a third of a step op's
+    cost at these widths, while a 0-d array goes in as it is and gives the
+    same IEEE operations on the same values (ROADMAP, Settled).
     """
+    threshold, decay, reset_decayed = (np.asarray(v, dtype=np.float64)
+                                       for v in (threshold, decay, reset_decayed))
     add, greater_equal, multiply, putmask = np.add, np.greater_equal, np.multiply, np.putmask
     if fired is None:
         for ut in u:

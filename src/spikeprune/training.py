@@ -46,6 +46,11 @@ with the bits of a layer-by-layer step:
   single window, so both run the same code. A SPIKING window's forward
   and backward passes allocate no array, and the same operations on the
   same values give the same bits.
+- Scalar operands as 0-d arrays. numpy converts a Python float operand
+  into an array on every call, so the forward scans (_lif_scan) and the
+  readout's reverse scan take the threshold, decay and reset as float64
+  0-d arrays, made once a scan: the same IEEE operations on the same
+  values, without a conversion at every step.
 """
 
 from __future__ import annotations
@@ -149,7 +154,8 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
     n, B = truth.shape[0], truth.shape[1]
     n_layers = net.config.n_layers
     p = net.config.lif
-    decay = p.decay
+    # 0-d, so the readout's reverse scan does not convert a float every step
+    decay = np.asarray(p.decay, dtype=np.float64)
     add, multiply = np.add, np.multiply
     pred = acts[-1]
     err = ws.err[:n]

@@ -239,6 +239,8 @@ class TestStrictBoundary:
             edited(lif=[header["lif"]] * 4),
             edited(lif=lif_missing),
             edited(meta=[]),
+            # ints too large for a float64
+            *(edited(lif=dict(header["lif"], **{k: 10 ** 400})) for k in header["lif"]),
             MAGIC + struct.pack("<I", 1 << 20) + blob[len(MAGIC) + 4:],
         ):
             p = tmp_path / "bad.ckpt"

@@ -1,11 +1,12 @@
 import errno
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from spikeprune import _files, cli
-from spikeprune.checkpoint import load_checkpoint, save_checkpoint
+from spikeprune.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from spikeprune.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -498,6 +499,26 @@ class TestErrorExits:
         for data in [blob[:n] for n in range(len(blob))] + [blob + b"\x00"]:
             bad.write_bytes(data)
             assert main(["eval", "--config", str(p), "--checkpoint", str(bad)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("key", ["tau", "threshold", "reset_value", "dt"])
+    def test_lif_value_past_float64_is_data_error(self, tmp_path, capsys, key):
+        # a canonical header holding an int too large for a float64: eval and
+        # prune reject the checkpoint before they write anything
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        ckpt = tmp_path / "big.ckpt"
+        save_checkpoint(ckpt, Network.from_config(NetworkConfig.snn3(5, hidden=(4, 3, 4))))
+        blob = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        header = json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen])
+        header["lif"][key] = 10 ** 400
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        ckpt.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + blob[len(MAGIC) + 4 + hlen:])
+        before = sorted(tmp_path.rglob("*"))
+        for command in ("eval", "prune"):
+            assert main([command, "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
+            assert f"{key} does not fit a float64" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class _DiskFull:

@@ -63,6 +63,10 @@ class TestLifParams:
         for reset_value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 LifParams(reset_value=reset_value)
+        # an int past float64's range, as a JSON checkpoint header can hold
+        for name in ("tau", "threshold", "reset_value", "dt"):
+            with pytest.raises(ValueError, match=f"{name} does not fit a float64"):
+                LifParams(**{name: 10 ** 400})
 
     @pytest.mark.parametrize("threshold", [math.inf, -math.inf])
     def test_infinite_threshold_allowed(self, threshold):
@@ -374,14 +378,20 @@ class TestEvalDriver:
         assert all(f.any() and (f < at).any() for f in counts.fired[1:])
 
     @pytest.mark.parametrize("p", [LifParams(tau=3.0, threshold=0.0),
-                                   LifParams(tau=3.0, threshold=0.5, reset_value=1.0)],
-                             ids=["threshold-0", "reset-above-threshold"])
+                                   LifParams(tau=3.0, threshold=0.5, reset_value=1.0),
+                                   LifParams(tau=3.0, threshold=-0.25),
+                                   LifParams(tau=3.0, threshold=-math.inf),
+                                   LifParams(tau=3.0, threshold=math.inf)],
+                             ids=["threshold-0", "reset-above-threshold", "threshold-negative",
+                                  "threshold-minus-inf", "threshold-inf"])
     def test_rows_no_gemm_writes_may_fire(self, monkeypatch, p):
-        # a zeroed row's membrane is the decayed carried one: at threshold 0
-        # it fires at once, and with reset_value·decay >= threshold a neuron
-        # that fired keeps firing. So the scan fires in the tails of short
-        # windows, on idle lanes and in layers not in flight, and the counts
-        # must take only the rows the GEMMs read
+        # a zeroed row's membrane is the decayed carried one: at a threshold
+        # of 0 or below it fires at once (a membrane of -0.0 too), and with
+        # reset_value·decay >= threshold a neuron that fired keeps firing. So
+        # the scan fires in the tails of short windows, on idle lanes and in
+        # layers not in flight, and the counts must take only the rows the
+        # GEMMs read. At -inf every hidden neuron fires at every step, at
+        # +inf none ever does
         monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
         scanned = []
 
@@ -397,7 +407,10 @@ class TestEvalDriver:
         assert len(lengths) > network._EVAL_LANES
         seqs = [(rng.random((T, 3)) < 0.3).astype(np.uint8) for T in lengths]
         counts = network._forward_sequences(net, seqs)
-        assert sum(scanned) > sum(int(f.sum()) for f in counts.fired[1:])
+        if p.threshold < math.inf:
+            assert sum(scanned) > sum(int(f.sum()) for f in counts.fired[1:])
+        else:
+            assert sum(scanned) == 0
 
         at = 0
         for x in seqs:
@@ -408,7 +421,13 @@ class TestEvalDriver:
             np.testing.assert_allclose(counts.output_membrane[rows], np.array(ref[-1]),
                                        rtol=1e-12, atol=0)
         check_counts(net, seqs, counts, 5)
-        assert all(f.any() and (f < at).any() for f in counts.fired[1:])
+        spike_counts = np.concatenate(counts.fired[1:])
+        if p.threshold == -math.inf:
+            assert (spike_counts == at).all()
+        elif p.threshold == math.inf:
+            assert not spike_counts.any()
+        else:
+            assert all(f.any() and (f < at).any() for f in counts.fired[1:])
 
     def test_idle_lanes_stay_finite(self):
         # 8 hidden layers with decay near 1: one long segment keeps the

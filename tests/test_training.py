@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -194,24 +196,30 @@ class TestTrainEpoch:
                 np.testing.assert_allclose(g, (ref_a + ref_b) / 2, rtol=1e-12, atol=1e-15)
         assert loss == pytest.approx(total_sq / (2 * T * 2), rel=1e-12)
 
-    @pytest.mark.parametrize("B, masked, reset_value, adam_reset, relink", [
-        (1, 0.0, 0.0, False, "all"),
-        (3, 0.6, 0.3, True, "all"),
-        (4, 0.6, 0.0, False, "all"),
-        (4, 0.0, 0.3, True, "all"),
-        (3, 0.6, 0.0, False, "one"),
+    @pytest.mark.parametrize("B, masked, reset_value, adam_reset, relink, threshold", [
+        (1, 0.0, 0.0, False, "all", 1.0),
+        (3, 0.6, 0.3, True, "all", 1.0),
+        (4, 0.6, 0.0, False, "all", 1.0),
+        (4, 0.0, 0.3, True, "all", 1.0),
+        (3, 0.6, 0.0, False, "one", 1.0),
+        (2, 0.6, 0.3, False, "all", -0.5),
+        (2, 0.6, 0.3, True, "all", -math.inf),
+        (2, 0.6, 0.3, False, "all", math.inf),
     ], ids=["B1-dense", "B3-masked-reset0.3-adam-reset", "B4-masked", "B4-reset0.3-adam-reset",
-            "B3-masked-one-layer-relinked"])
+            "B3-masked-one-layer-relinked", "B2-threshold-negative", "B2-threshold-minus-inf",
+            "B2-threshold-inf"])
     def test_matches_per_layer_step_bit_for_bit(self, B, masked, reset_value, adam_reset,
-                                                relink):
+                                                relink, threshold):
         # the flat optimizer pass, the two-call reverse scan, the cached
         # zero-mask and the per-group workspace change no bit of the
         # per-layer step, sign bits included. Between epochs every layer
         # gets an array of its own (a restore), or only layer 1 does: the
         # next epoch must train the new arrays, through no stale view of the
-        # last epoch's flat vector
+        # last epoch's flat vector. At threshold -inf every hidden neuron
+        # fires at every step and the surrogate is 0, so only the readout
+        # trains; at +inf none fires and nothing trains
         rng = np.random.default_rng(B)
-        lif = LifParams(tau=4.0, reset_value=reset_value)
+        lif = LifParams(tau=4.0, threshold=threshold, reset_value=reset_value)
         net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=B, lif=lif),
                                   init_scale=2.5)
         if masked:
@@ -246,9 +254,12 @@ class TestTrainEpoch:
                 ref.layers[1].weights[layer.mask == 1] *= 0.5
             assert_same_bits(train_epoch(net, epoch_segs, tc, opt),
                              per_layer_train_epoch(ref, epoch_segs, tc, ref_opt))
-        for layer, ref_layer, w0 in zip(net.layers, ref.layers, start):
+        for layer, ref_layer in zip(net.layers, ref.layers):
             assert_same_bits(layer.weights, ref_layer.weights)
-            assert not np.array_equal(layer.weights[layer.mask == 1], w0[layer.mask == 1])
+        moved = [not np.array_equal(l.weights[l.mask == 1], w0[l.mask == 1])
+                 for l, w0 in zip(net.layers, start)]
+        trains = {-math.inf: [False] * 3 + [True], math.inf: [False] * 4}
+        assert moved == trains.get(threshold, [True] * 4)
         assert_same_bits(opt._m, np.concatenate([m.ravel() for m in ref_opt.m]))
         assert_same_bits(opt._v, np.concatenate([v.ravel() for v in ref_opt.v]))
 

@@ -63,6 +63,8 @@ MUTANTS = [
      "                counts[l] += ones @ rows[l]\n", ""),
     ("eval-stale-tail-rows", PKG + "network.py",
      "            u[:, :, cols] = 0.0\n", ""),
+    ("scan-operands-float32", PKG + "network.py",
+     "(np.asarray(v, dtype=np.float64)", "(np.asarray(v, dtype=np.float32)"),
     ("eval-membranes-kept-across-segments", PKG + "network.py",
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
     ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
@@ -70,6 +72,8 @@ MUTANTS = [
     # training and synthesis
     ("adam-without-second-moment-correction", PKG + "training.py",
      "np.sqrt(v / b2t)", "np.sqrt(v)"),
+    ("backward-decay-one", PKG + "training.py",
+     "decay = np.asarray(p.decay, dtype=np.float64)", "decay = np.asarray(1.0, dtype=np.float64)"),
     ("surrogate-unclipped", PKG + "training.py",
      "    np.maximum(0.0, g, out=g)\n", ""),
     ("synthesis-drive-in-reverse-channel-order", PKG + "data.py",
