@@ -58,10 +58,10 @@ def energy_per_timestep(avg_acs: float, n_neurons: int = 0,
     paper-consistent mode charges a single update term; per-neuron mode
     charges one update per neuron.
     """
-    if avg_acs < 0:
-        raise ValueError("avg_acs must be >= 0")
-    if n_neurons < 0:
-        raise ValueError("n_neurons must be >= 0")
+    if not avg_acs >= 0:  # NaN too
+        raise ValueError(f"avg_acs must be >= 0, got {avg_acs}")
+    if not n_neurons >= 0:
+        raise ValueError(f"n_neurons must be >= 0, got {n_neurons}")
     if params.update_count_mode == PAPER_CONSISTENT:
         updates = 1
     else:
@@ -71,6 +71,8 @@ def energy_per_timestep(avg_acs: float, n_neurons: int = 0,
 
 def average_power(energy_pj: float, dt_ms: float) -> float:
     """Average power in microwatts: pJ per ms is nW, /1000 gives uW."""
+    if not energy_pj >= 0:  # NaN too
+        raise ValueError(f"energy_pj must be >= 0, got {energy_pj}")
     if not dt_ms > 0:
         raise ValueError("dt_ms must be > 0")
     return energy_pj / dt_ms / 1000.0

@@ -12,10 +12,11 @@ membrane carried from the step before, compare with the threshold, and
 carry on the decayed membrane, reset (as reset_value·decay, the same bits)
 wherever a neuron fired. It runs in time order, elementwise; every GEMM runs
 outside it, over whole windows. Its threshold, decay and reset operands are
-float64 arrays (a float becomes 0-d) once per scan, not Python floats:
-numpy converts a Python float operand into an array on every call, up to
-a third of a step op's cost at training widths, and the 0-d array gives the
-same IEEE operations on the same values.
+float64 arrays, not Python floats, taken as given: numpy converts a Python
+float operand into an array on every call, up to a third of a step op's
+cost at training widths, and a 0-d array gives the same IEEE operations on
+the same values. A `_Workspace` makes them once (`_lif_operands`), the eval
+wavefront once a call.
 
 Training calls `forward_window`: a window of timesteps for B equal-length
 sequences in lockstep, from a given membrane state. It is layer-major: the
@@ -26,7 +27,10 @@ the layer's membranes are scanned. It runs in a `_Workspace`: buffers for
 every layer's window, the per-step views the scans iterate and the
 membranes carried to the next window, made once for many windows of one
 shape (training makes one per length group), so a training window
-allocates no array and the scans are its only per-step cost.
+allocates no array and the scans are its only per-step cost. The workspace
+also holds what the window's shape fixes: the scan operands and the
+[Tw·B x H] row views its GEMMs read and write, of which a window of n steps
+slices the first n·B rows.
 
 Eval and validation share one driver, `_forward_sequences`: one wavefront
 over fixed windows of _EVAL_WINDOW timesteps, on up to _EVAL_LANES lanes.
@@ -124,6 +128,8 @@ class LifParams:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
+        if math.isnan(self.dt / self.tau):  # both infinite: a NaN decay
+            raise ValueError(f"dt / tau must not be NaN, got dt={self.dt}, tau={self.tau}")
         if not self.threshold >= -math.inf:  # +-inf is legal: never or always fires
             raise ValueError(f"threshold must not be NaN, got {self.threshold}")
         if not math.isfinite(self.reset_value):
@@ -342,14 +348,9 @@ def _lif_scan(u, fired, d, threshold, decay, reset_decayed) -> None:
     of decaying the reset membrane. fired None marks readout-only columns,
     which never fire and skip the compare and reset.
 
-    threshold, decay and reset_decayed are floats or float64 arrays. Each is
-    taken as a float64 array once, before the steps: numpy converts a Python
-    float operand into an array on every call, up to a third of a step op's
-    cost at these widths, while a 0-d array goes in as it is and gives the
-    same IEEE operations on the same values (ROADMAP, Settled).
+    threshold, decay and reset_decayed are float64 arrays, used as given:
+    0-d from _lif_operands, or the wavefront's per-column threshold.
     """
-    threshold, decay, reset_decayed = (np.asarray(v, dtype=np.float64)
-                                       for v in (threshold, decay, reset_decayed))
     add, greater_equal, multiply, putmask = np.add, np.greater_equal, np.multiply, np.putmask
     if fired is None:
         for ut in u:
@@ -363,28 +364,49 @@ def _lif_scan(u, fired, d, threshold, decay, reset_decayed) -> None:
         putmask(d, ft, reset_decayed)
 
 
+def _lif_operands(p: LifParams):
+    """_lif_scan's threshold, decay and reset_value·decay as float64 0-d arrays.
+
+    numpy converts a Python float operand into an array on every call, up to
+    a third of a step op's cost at training widths, while a 0-d array goes
+    in as it is and gives the same IEEE operations on the same values
+    (ROADMAP, Settled).
+    """
+    return tuple(np.asarray(v, dtype=np.float64)
+                 for v in (p.threshold, p.decay, p.reset_value * p.decay))
+
+
 class _Workspace:
     """forward_window's buffers for windows of up to Tw steps of B sequences.
 
-    Per connection layer: the C-contiguous W^T, the pre-reset membranes u
-    [Tw x B x H], into which the GEMM writes the input current, and the
-    decayed membranes d [B x H] the scan carries from step to step and from
-    window to window (zero at first). Per hidden layer: the fired flags and
-    the spikes as float64, the GEMM input of the layer above. The per-step
-    views the scans iterate are made once, here; a window of n < Tw steps
-    uses the first n.
+    Made once for many windows of config's shape. Per connection layer: the
+    C-contiguous W^T, the pre-reset membranes u [Tw x B x H], into which the
+    GEMM writes the input current, and the decayed membranes d [B x H] the
+    scan carries from step to step and from window to window (zero at
+    first). Per hidden layer: the fired flags and the spikes as float64, the
+    GEMM input of the layer above. Made once, here, too: the per-step views
+    the scans iterate; the [Tw·B x H] row views the GEMMs take of u, of the
+    spikes and, as uint8 for the spikes' cast, of the fired flags; and the
+    scan operands threshold, decay and reset_decayed (_lif_operands). A
+    window of n < Tw steps uses the first n steps, the first n·B rows.
     """
 
-    def __init__(self, dims, Tw: int, B: int):
+    def __init__(self, config: NetworkConfig, Tw: int, B: int):
+        dims = config.layer_dims
         self.Tw = Tw
+        self.threshold, self.decay, self.reset_decayed = _lif_operands(config.lif)
         shapes = [(Tw, B, h) for h in dims[1:]]
         self.w_t = [np.empty((k, h)) for k, h in zip(dims[:-1], dims[1:])]
         self.u = [np.empty(shape) for shape in shapes]
         self.d = [np.zeros(shape[1:]) for shape in shapes]
-        self.fired = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
+        fired = [np.empty(shape, dtype=bool) for shape in shapes[:-1]]
         self.spikes = [np.empty(shape) for shape in shapes[:-1]]
         self.u_t = [list(u) for u in self.u]
-        self.fired_t = [list(f) for f in self.fired]
+        self.fired_t = [list(f) for f in fired]
+        self.u_rows = [u.reshape(Tw * B, u.shape[2]) for u in self.u]
+        self.spike_rows = [s.reshape(Tw * B, s.shape[2]) for s in self.spikes]
+        # numpy casts uint8 to float64 faster than bool
+        self.fired_rows = [f.view(np.uint8).reshape(Tw * B, f.shape[2]) for f in fired]
 
 
 def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, effective=None):
@@ -392,41 +414,44 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, effe
 
     The body of forward_window: the state is the workspace's d, left as the
     next window's start, and acts and membranes are views of ws, valid
-    until its next window. effective holds each layer's weights·mask when
-    the caller already has them (train_epoch shares them with the backward
-    pass); by default each layer's effective() is taken.
+    until its next window. The GEMMs read and write ws's row views and the
+    scans take ws's operands. effective holds each layer's weights·mask when
+    the caller already has them (train_epoch passes the layers' weights,
+    zero under the masks, and shares them with the backward pass); by
+    default each layer's effective() is taken.
     """
     n, B = x.shape[0], x.shape[1]
-    dims = net.config.layer_dims
+    rows = n * B
     p = net.config.lif
-    decay = p.decay
     readout = net.config.n_layers - 1
     acts = [x]
     membranes = []
+    x_rows = x.reshape(rows, x.shape[2])
     for i, layer in enumerate(net.layers):
         # C-contiguous W^T: BLAS takes another kernel for the transposed view,
         # which rounds the current differently in the last bit
         w_t = ws.w_t[i]
         np.copyto(w_t, (layer.effective() if effective is None else effective[i]).T)
+        np.matmul(x_rows, w_t, out=ws.u_rows[i][:rows])
         u = ws.u[i][:n]
-        np.matmul(acts[-1].reshape(n * B, dims[i]), w_t, out=u.reshape(n * B, dims[i + 1]))
         d = ws.d[i]
         if i == readout:
-            _lif_scan(ws.u_t[i][:n], None, d, p.threshold, decay, p.reset_value * decay)
+            _lif_scan(ws.u_t[i][:n], None, d, ws.threshold, ws.decay, ws.reset_decayed)
             out = u
         elif mode == SPIKING:
-            _lif_scan(ws.u_t[i][:n], ws.fired_t[i][:n], d, p.threshold, decay,
-                      p.reset_value * decay)
+            _lif_scan(ws.u_t[i][:n], ws.fired_t[i][:n], d, ws.threshold, ws.decay,
+                      ws.reset_decayed)
             out = ws.spikes[i][:n]
-            # numpy casts uint8 to float64 faster than bool
-            np.copyto(out, ws.fired[i][:n].view(np.uint8))
+            x_rows = ws.spike_rows[i][:rows]
+            np.copyto(x_rows, ws.fired_rows[i][:rows])
         else:
             out = ws.spikes[i][:n]
+            x_rows = ws.spike_rows[i][:rows]
             for ut, st in zip(u, out):
                 ut += d
                 s = _sigmoid(ut - p.threshold)
                 st[...] = s
-                np.multiply(ut * (1.0 - s) + p.reset_value * s, decay, out=d)
+                np.multiply(ut * (1.0 - s) + p.reset_value * s, ws.decay, out=d)
         acts.append(out)
         membranes.append(u)
     return acts, membranes
@@ -457,7 +482,7 @@ def forward_window(net: Network, x: np.ndarray, state: list[np.ndarray],
     if [np.shape(v) for v in state] != [(B, d) for d in dims[1:]]:
         raise ValueError(f"state needs one [{B} x H] membrane array per layer")
     if ws is None:
-        ws = _Workspace(dims, Tw, B)
+        ws = _Workspace(net.config, Tw, B)
     p = net.config.lif
     for d, v in zip(ws.d, state):
         np.multiply(v, p.decay, out=d)
@@ -523,7 +548,7 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     dims = net.config.layer_dims
     n_layers = net.config.n_layers
     p = net.config.lif
-    decay = p.decay
+    _, decay, reset_decayed = _lif_operands(p)
     B = len(lanes)
     # layer l's neurons are the columns off[l]:off[l + 1] of the stage buffers
     off = np.cumsum([0, *dims[1:]]).tolist()
@@ -572,7 +597,7 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
             for b, (k, lo, n) in run:
                 np.matmul(x[b, :n], w_t[l], out=u[:n, b, cols])
                 counts[l] += ones[:n] @ x[b, :n]
-        _lif_scan(u_t, fired_t, d, threshold, decay, p.reset_value * decay)
+        _lif_scan(u_t, fired_t, d, threshold, decay, reset_decayed)
         # run is the readout's
         for b, (k, lo, n) in run:
             pred[starts[k] + lo:starts[k] + lo + n] = u[:n, b, off[-2]:]
@@ -599,7 +624,7 @@ def network_forward(net: Network, spikes: np.ndarray):
         hidden_spikes=[np.empty((T, h), dtype=np.uint8) for h in dims[1:-1]],
         output_membrane=np.empty((T, dims[-1])),
     )
-    ws = _Workspace(dims, min(_EVAL_WINDOW, T), 1)
+    ws = _Workspace(net.config, min(_EVAL_WINDOW, T), 1)
     for lo in range(0, T, _EVAL_WINDOW):
         x = spikes[lo:lo + _EVAL_WINDOW, None, :].astype(np.float64)
         acts, _ = _forward_window(net, ws, x, SPIKING)

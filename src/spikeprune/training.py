@@ -20,15 +20,17 @@ with the bits of a layer-by-layer step:
 
 - Flat optimizer pass. train_epoch packs the layers' weights into one new
   flat vector at the start of every epoch (one concatenate) and makes the
-  layers' weights views of it; each window's effective weights
-  (weights·mask) and gradients are one flat vector each, the gradients
+  layers' weights views of it; the gradients are one flat vector too,
   written by matmul(out=) and masked by one multiply. Adam steps the flat
   weights from the flat gradients with flat moments, once a window, not
   once a layer, and one putmask against the epoch's cached zero-mask
   (masks do not change within an epoch) replaces weights[mask == 0] = 0.
-  Every op is elementwise, so the bits do not depend on how the layers are
-  laid out. The forward and backward passes share the window's effective
-  weights.
+  The same putmask runs once before the first window, so the weights are
+  zero under the masks throughout: they are each window's effective
+  weights, with the bits of weights·mask (w·1 is w, +0.0·0 is +0.0), and
+  no window takes a product. Every op is elementwise, so the bits do not
+  depend on how the layers are laid out. The forward and backward passes
+  share the layers' weights as the effective weights.
 - Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
   du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
   du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
@@ -39,18 +41,20 @@ with the bits of a layer-by-layer step:
 - A workspace per length group. train_epoch makes one _TrainWorkspace per
   group of equal-length segments, sized [batch_length x B x H] per layer:
   the membranes, fired flags and float spikes, du, dk, the readout error,
-  the C-contiguous W^T, and the per-step views the forward and reverse
-  scans iterate, made once. The window's GEMMs write into it with
-  matmul(out=), a tail window uses its first n steps, and it carries the
-  membranes from window to window. compute_gradients makes one for its
+  the C-contiguous W^T, and, made once, the per-step views the forward and
+  reverse scans iterate, the [batch_length·B x H] row views the GEMMs read
+  and write (of the membranes, spikes, fired flags and du) and the LIF
+  operands. The window's GEMMs write into it with matmul(out=), a tail
+  window uses its first n steps (n·B rows), and it carries the membranes
+  from window to window. compute_gradients makes one for its
   single window, so both run the same code. A SPIKING window's forward
   and backward passes allocate no array, and the same operations on the
   same values give the same bits.
 - Scalar operands as 0-d arrays. numpy converts a Python float operand
   into an array on every call, so the forward scans (_lif_scan) and the
-  readout's reverse scan take the threshold, decay and reset as float64
-  0-d arrays, made once a scan: the same IEEE operations on the same
-  values, without a conversion at every step.
+  reverse scans take the threshold, decay and reset as float64 0-d arrays,
+  made once per workspace: the same IEEE operations on the same values,
+  without a conversion at every step or every scan.
 """
 
 from __future__ import annotations
@@ -121,16 +125,18 @@ class _TrainWorkspace(_Workspace):
 
     Per layer: du [Tw x B x H], first the error arriving from the layer
     above, then the membrane gradient, with its per-step views in reverse
-    order; per hidden layer dk = decay·(1 - s), first the surrogate; the
-    readout's error, and one [B x H] carry product per layer. train_epoch
+    order and its [Tw·B x H] row view for the GEMMs; per hidden layer
+    dk = decay·(1 - s), first the surrogate; the readout's error, and one
+    [B x H] carry product per layer. train_epoch
     builds one per length group, compute_gradients one for its window.
     """
 
-    def __init__(self, dims, Tw: int, B: int):
-        super().__init__(dims, Tw, B)
-        self.err = np.empty((Tw, B, dims[-1]))
+    def __init__(self, config: NetworkConfig, Tw: int, B: int):
+        super().__init__(config, Tw, B)
+        self.err = np.empty((Tw, B, config.layer_dims[-1]))
         self.du = [np.empty(u.shape) for u in self.u]
         self.dk = [np.empty(u.shape) for u in self.u[:-1]]
+        self.du_rows = [du.reshape(Tw * B, du.shape[2]) for du in self.du]
         self.du_r = [list(du)[::-1] for du in self.du]
         self.dk_r = [list(dk)[::-1] for dk in self.dk]
         self.carry = [np.empty(d.shape) for d in self.d]
@@ -142,8 +148,10 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
     """Write the window-MSE gradient of every weight matrix into grads.
 
     acts and membranes are what forward_window returned for the window, run
-    in ws, and effective the weights·mask it ran with; grads[i] gets layer
-    i's gradient, unmasked. Returns the window's summed squared error.
+    in ws, and effective the weights·mask it ran with (for train_epoch, the
+    layers' weights, zero under the masks); grads[i] gets layer i's
+    gradient, unmasked. Returns the window's summed squared error. The
+    GEMMs read and write ws's row views.
     Layer-major, from the readout down: each layer runs a reverse
     elementwise scan over the window, and one GEMM carries its membrane
     gradients to the layer below. A SPIKING hidden layer's scan is
@@ -152,17 +160,18 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
     docstring).
     """
     n, B = truth.shape[0], truth.shape[1]
+    rows = n * B
     n_layers = net.config.n_layers
     p = net.config.lif
     # 0-d, so the readout's reverse scan does not convert a float every step
-    decay = np.asarray(p.decay, dtype=np.float64)
+    decay = ws.decay
     add, multiply = np.add, np.multiply
     pred = acts[-1]
     err = ws.err[:n]
     np.subtract(pred, truth, out=err)
     du = ws.du[-1][:n]
     np.square(err, out=du)
-    sse = float(np.sum(du))
+    sse = float(du.sum())
     multiply(err, 2.0 / pred.size, out=du)
     skip = ws.Tw - n  # the reversed views of the window's n steps
     for i in range(n_layers - 1, -1, -1):
@@ -199,10 +208,11 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
                 du_t += dc * kt
                 du_t += dc * rt * gt
                 c = du_t
-        du = du.reshape(n * B, -1)
+        du = ws.du_rows[i][:rows]
         if i > 0:
-            np.matmul(du, effective[i], out=ws.du[i - 1][:n].reshape(n * B, -1))
-        np.matmul(du.T, acts[i].reshape(n * B, -1), out=grads[i])
+            np.matmul(du, effective[i], out=ws.du_rows[i - 1][:rows])
+        x = ws.spike_rows[i - 1][:rows] if i > 0 else acts[0].reshape(rows, -1)
+        np.matmul(du.T, x, out=grads[i])
     return sse
 
 
@@ -240,7 +250,7 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
     effective = [layer.effective() for layer in net.layers]
-    ws = _TrainWorkspace(net.config.layer_dims, x.shape[0], 1)
+    ws = _TrainWorkspace(net.config, x.shape[0], 1)
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
                                                   mode, ws=ws)
     loss = mse_loss(acts[-1][:, 0, :], y)
@@ -312,27 +322,27 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     groups = _length_groups(segments)
     if not groups:
         raise ValueError("empty training dataset")
-    # one flat vector each for the weights, the effective weights and the
-    # gradients; the layers' weights become views of a new packed copy, and
-    # the masks hold for the whole epoch
+    # one flat vector each for the weights and the gradients; the layers'
+    # weights become views of a new packed copy. The masks hold for the whole
+    # epoch, and the weights are zero under them from here on, as after every
+    # step: they are each window's effective weights
     w = np.concatenate([layer.weights.ravel() for layer in net.layers])
-    for layer, view in zip(net.layers, _layer_views(w, net.layers)):
+    effective = _layer_views(w, net.layers)
+    for layer, view in zip(net.layers, effective):
         layer.weights = view
     mask = _flat_mask(net)
     zero = mask == 0
-    eff = np.empty_like(w)
+    np.putmask(w, zero, 0.0)
     g = np.empty_like(w)
-    effective = _layer_views(eff, net.layers)
     grads = _layer_views(g, net.layers)
     total_sq = 0.0
     total_n = 0
     for length, group in groups.items():
         x, y = _batch_group(group)
         # its membranes start at zero and carry from window to window
-        ws = _TrainWorkspace(net.config.layer_dims, min(cfg.batch_length, length), len(group))
+        ws = _TrainWorkspace(net.config, min(cfg.batch_length, length), len(group))
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            np.multiply(w, mask, out=eff)
             acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING, effective)
             total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING,
                                          effective, grads)

@@ -71,6 +71,14 @@ class TestProperties:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             energy_per_timestep(-1.0)
+        # a NaN would pass a `< 0` check and give NaN energy and power
+        nan = float("nan")
+        for call in (lambda: energy_per_timestep(nan), lambda: energy_report(nan, 3),
+                     lambda: energy_per_timestep(1.0, n_neurons=nan),
+                     lambda: energy_report(1.0, nan, EnergyParams(update_count_mode=PER_NEURON)),
+                     lambda: average_power(nan, 4.0), lambda: average_power(-1.0, 4.0)):
+            with pytest.raises(ValueError):
+                call()
         with pytest.raises(ValueError):
             EnergyParams(e_ac_pj=-0.1)
         for key in ("e_ac_pj", "e_update_pj"):

@@ -57,6 +57,9 @@ class TestLifParams:
             LifParams(tau=0.0)
         with pytest.raises(ValueError):
             LifParams(tau=1.0, dt=-1.0)
+        # dt / tau is inf / inf: a NaN decay would make every membrane NaN
+        with pytest.raises(ValueError, match="dt / tau"):
+            LifParams(tau=math.inf, dt=math.inf)
         # a NaN threshold would silently never fire
         with pytest.raises(ValueError):
             LifParams(threshold=math.nan)
@@ -71,6 +74,11 @@ class TestLifParams:
     @pytest.mark.parametrize("threshold", [math.inf, -math.inf])
     def test_infinite_threshold_allowed(self, threshold):
         assert LifParams(threshold=threshold).threshold == threshold
+
+    def test_one_infinite_time_constant_allowed(self):
+        # no leak (decay 1) and a membrane forgotten every step (decay 0)
+        assert LifParams(tau=math.inf, dt=4.0).decay == 1.0
+        assert LifParams(tau=20.0, dt=math.inf).decay == 0.0
 
 
 class TestMembraneUpdate:

@@ -14,8 +14,12 @@ list has to follow the code (tests/test_mutants.py checks that in tier-1). A
 mutant that survives needs a test that kills it, or a note below saying why
 it is equivalent.
 
-Standard library only; not part of tier-1 or CI. A mutant takes about as
-long as tier-1 up to its first failure (tier-1 is about 45 s on 2 cores).
+Standard library only and not part of tier-1. CI runs three of them after
+tier-1 (.github/workflows/tier1.yml): scan-operands-float32,
+backward-decay-one and epoch-start-mask-dropped, the training kernel's
+operands and masking, so CI fails if tier-1 stops killing one. A mutant
+takes about as long as tier-1 up to its first failure (tier-1 is about
+17 s on 2 cores; those three, with the unmutated run, about 35 s).
 """
 
 import os
@@ -64,7 +68,7 @@ MUTANTS = [
     ("eval-stale-tail-rows", PKG + "network.py",
      "            u[:, :, cols] = 0.0\n", ""),
     ("scan-operands-float32", PKG + "network.py",
-     "(np.asarray(v, dtype=np.float64)", "(np.asarray(v, dtype=np.float32)"),
+     "tuple(np.asarray(v, dtype=np.float64)", "tuple(np.asarray(v, dtype=np.float32)"),
     ("eval-membranes-kept-across-segments", PKG + "network.py",
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
     ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
@@ -73,7 +77,9 @@ MUTANTS = [
     ("adam-without-second-moment-correction", PKG + "training.py",
      "np.sqrt(v / b2t)", "np.sqrt(v)"),
     ("backward-decay-one", PKG + "training.py",
-     "decay = np.asarray(p.decay, dtype=np.float64)", "decay = np.asarray(1.0, dtype=np.float64)"),
+     "decay = ws.decay", "decay = np.asarray(1.0, dtype=np.float64)"),
+    ("epoch-start-mask-dropped", PKG + "training.py",
+     "\n    np.putmask(w, zero, 0.0)\n", "\n"),
     ("surrogate-unclipped", PKG + "training.py",
      "    np.maximum(0.0, g, out=g)\n", ""),
     ("synthesis-drive-in-reverse-channel-order", PKG + "data.py",
