@@ -13,6 +13,7 @@ discrepancy stays visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 __all__ = ["EnergyParams", "EnergyReport", "energy_per_timestep", "average_power",
@@ -30,10 +31,10 @@ class EnergyParams:
     update_count_mode: str = PAPER_CONSISTENT
 
     def __post_init__(self):
-        if not (self.e_ac_pj >= 0 and self.e_update_pj >= 0):
-            raise ValueError("energies must be >= 0")
-        if not self.dt_ms > 0:
-            raise ValueError("dt_ms must be > 0")
+        if not all(math.isfinite(e) and e >= 0 for e in (self.e_ac_pj, self.e_update_pj)):
+            raise ValueError("energies must be finite and >= 0")
+        if not (math.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise ValueError("dt_ms must be finite and > 0")
         if self.update_count_mode not in (PAPER_CONSISTENT, PER_NEURON):
             raise ValueError(f"unknown update_count_mode {self.update_count_mode!r}")
 
@@ -58,10 +59,10 @@ def energy_per_timestep(avg_acs: float, n_neurons: int = 0,
     paper-consistent mode charges a single update term; per-neuron mode
     charges one update per neuron.
     """
-    if not avg_acs >= 0:  # NaN too
-        raise ValueError(f"avg_acs must be >= 0, got {avg_acs}")
-    if not n_neurons >= 0:
-        raise ValueError(f"n_neurons must be >= 0, got {n_neurons}")
+    if not (math.isfinite(avg_acs) and avg_acs >= 0):
+        raise ValueError(f"avg_acs must be finite and >= 0, got {avg_acs}")
+    if not (math.isfinite(n_neurons) and n_neurons >= 0):
+        raise ValueError(f"n_neurons must be finite and >= 0, got {n_neurons}")
     if params.update_count_mode == PAPER_CONSISTENT:
         updates = 1
     else:
@@ -71,10 +72,10 @@ def energy_per_timestep(avg_acs: float, n_neurons: int = 0,
 
 def average_power(energy_pj: float, dt_ms: float) -> float:
     """Average power in microwatts: pJ per ms is nW, /1000 gives uW."""
-    if not energy_pj >= 0:  # NaN too
-        raise ValueError(f"energy_pj must be >= 0, got {energy_pj}")
-    if not dt_ms > 0:
-        raise ValueError("dt_ms must be > 0")
+    if not (math.isfinite(energy_pj) and energy_pj >= 0):
+        raise ValueError(f"energy_pj must be finite and >= 0, got {energy_pj}")
+    if not (math.isfinite(dt_ms) and dt_ms > 0):
+        raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
     return energy_pj / dt_ms / 1000.0
 
 

@@ -13,6 +13,10 @@ spike trains: how many timesteps it was nonzero (`fired`). Eval's driver
 returns those counts (network.SpikeCounts), so the ACs are one integer dot
 product per layer, fired · (nonzero weights per column). The same functions
 take a network_forward ActivationRecord, whose `fired` counts its trains.
+
+R^2 sums each component's residuals and deviations pairwise, over a
+contiguous component-major copy of the prediction and the truth, so its
+bits do not depend on how the caller laid out either array.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ def r_squared(pred: np.ndarray, truth: np.ndarray) -> float:
 
     For each velocity component: 1 - sum((y - yhat)^2) / sum((y - ybar)^2).
     Raises DegenerateTruthError if any truth component is constant.
+
+    The sums run over contiguous component-major rows, copies of pred.T and
+    truth.T: numpy sums a contiguous row pairwise, while along axis 0 of a
+    [T x k] array it keeps k running sums and adds one row at a time, which
+    is slower and less accurate. The copies make the bits independent of
+    the inputs' memory order; nothing goes through BLAS.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -63,10 +73,11 @@ def r_squared(pred: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
     if pred.ndim != 2 or pred.shape[0] < 2:
         raise ValueError("need a [T x k] series with T >= 2")
-    ss_tot = np.sum((truth - truth.mean(axis=0)) ** 2, axis=0)
+    pred, truth = np.ascontiguousarray(pred.T), np.ascontiguousarray(truth.T)
+    ss_tot = np.sum((truth - truth.mean(axis=1, keepdims=True)) ** 2, axis=1)
     if np.any(ss_tot == 0):
         raise DegenerateTruthError("a truth component is constant; R^2 denominator is 0")
-    ss_res = np.sum((truth - pred) ** 2, axis=0)
+    ss_res = np.sum((truth - pred) ** 2, axis=1)
     return float(np.mean(1.0 - ss_res / ss_tot))
 
 

@@ -535,7 +535,9 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     own: when it runs a full window on every lane, its GEMMs go in one
     stacked call; otherwise it first zeroes its columns of u, so the rows no
     GEMM writes (a short window's tail, an idle lane) only decay. Then one
-    _lif_scan advances every column of every lane.
+    _lif_scan advances every column of every lane. Which lanes run window w,
+    and whether all of them run it full, depends on w alone, so it is
+    worked out once per call, not for every layer at every stage.
 
     Returns SpikeCounts.fired: per connection layer, the number of rows in
     which each input column was nonzero. Each layer sums, in float64, the
@@ -572,20 +574,26 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     ones = np.ones(Tw * B)
     # the nonzero rows of every input column, as float64
     counts = [np.zeros(k) for k in dims[:-1]]
+    # the schedule, per window index: the lanes that run it, with their
+    # windows, and whether every lane runs it full
+    schedule = []
+    for w in range(max(map(len, lanes))):
+        run = [(b, lane[w]) for b, lane in enumerate(lanes) if w < len(lane)]
+        schedule.append((run, len(run) == B and all(n == Tw for _, (_, _, n) in run)))
+    idle = ([], False)
 
-    for stage in range(max(map(len, lanes)) + n_layers - 1):
+    for stage in range(len(schedule) + n_layers - 1):
         # the spikes each hidden layer made last stage: the input of the layer above
         np.copyto(h, spikes)
         for l, x in enumerate(xs):
             cols = slice(off[l], off[l + 1])
-            w = stage - l
-            run = [(b, lane[w]) for b, lane in enumerate(lanes) if 0 <= w < len(lane)]
+            run, full = schedule[stage - l] if 0 <= stage - l < len(schedule) else idle
             for b, (k, lo, n) in run:
                 if l == 0:
                     x0[b, :n] = sequences[k][lo:lo + n]
                 if not lo:
                     d[b, cols] = 0.0
-            if len(run) == B and all(n == Tw for _, (_, _, n) in run):
+            if full:
                 # the per-lane [Tw x K] GEMMs in one call, then every row counts
                 np.matmul(x, w_t[l], out=u[:, :, cols].transpose(1, 0, 2))
                 counts[l] += ones @ rows[l]

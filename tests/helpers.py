@@ -5,7 +5,8 @@ the forward reference is a plain-Python scalar loop, spiking-mode gradients
 come from a plain-Python surrogate BPTT over that loop, differentiable-mode
 gradient checks use central finite differences over the public loss,
 operation counts come from a brute-force quadruple loop, prune selection
-from a plain-Python sort, and synthetic labels from per-row Python sums.
+from a plain-Python sort, synthetic labels from per-row Python sums, and
+R^2 from math.fsum sums.
 The training step's bit-exactness oracle is the step layer by layer: a
 three-call reverse scan, Adam per layer and masking by boolean index.
 """
@@ -270,6 +271,17 @@ def brute_force_ops(record, net):
                     if pre_acts[pre] != 0 and eff[post, pre] != 0.0:
                         total += 1
     return total
+
+
+def fsum_r_squared(pred, truth):
+    """Mean per-component R^2 from correctly rounded math.fsum sums; the R^2 oracle."""
+    r2 = []
+    for y, yhat in zip(np.asarray(truth).T.tolist(), np.asarray(pred).T.tolist()):
+        mean = math.fsum(y) / len(y)
+        ss_res = math.fsum((a - b) ** 2 for a, b in zip(y, yhat))
+        ss_tot = math.fsum((a - mean) ** 2 for a in y)
+        r2.append(1.0 - ss_res / ss_tot)
+    return math.fsum(r2) / len(r2)
 
 
 def synthetic_oracle(seed, channels, T, rate, mixing=None, mixing_density=0.25,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,23 @@ class TestProperties:
         for key in ("e_ac_pj", "e_update_pj"):
             with pytest.raises(ValueError):
                 EnergyParams(**{key: float("nan")})
+
+    # +inf passes a `>= 0` check and gives infinite (or, as a dt, zero)
+    # energy and power
+    @pytest.mark.parametrize("call", [
+        lambda: energy_report(math.inf, 3),
+        lambda: energy_per_timestep(math.inf),
+        lambda: energy_per_timestep(1.0, n_neurons=math.inf),
+        lambda: average_power(math.inf, 4.0),
+        lambda: average_power(1.0, math.inf),
+        lambda: EnergyParams(e_ac_pj=math.inf),
+        lambda: EnergyParams(e_update_pj=math.inf),
+        lambda: EnergyParams(dt_ms=math.inf),
+    ], ids=["report-acs", "acs", "n-neurons", "power-energy", "power-dt", "params-e-ac",
+            "params-e-update", "params-dt"])
+    def test_infinite_inputs_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestReport:

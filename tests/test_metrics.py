@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brute_force_ops
+from helpers import brute_force_ops, fsum_r_squared
 
 from spikeprune.metrics import (
     DegenerateTruthError,
@@ -68,6 +68,37 @@ class TestRSquared:
         base = r_squared(pred, truth)
         perm = rng.permutation(30)
         assert r_squared(pred[perm], truth[perm]) == pytest.approx(base, rel=1e-12)
+
+    @staticmethod
+    def long_series(seed, T=60_000):
+        """A T-step prediction and truth: eval-wide's length, with a mean
+        far from zero so the deviations cancel many digits."""
+        rng = np.random.default_rng(seed)
+        truth = 50.0 + rng.normal(size=(T, 2)).cumsum(axis=0) / 30.0
+        pred = 0.8 * truth + rng.normal(scale=0.5, size=(T, 2)) + 7.0
+        return pred, truth
+
+    def test_fsum_oracle_at_eval_length(self):
+        for seed in range(3):
+            pred, truth = self.long_series(seed)
+            assert abs(r_squared(pred, truth) - fsum_r_squared(pred, truth)) <= 1e-12
+
+    def test_memory_order_does_not_change_bits(self):
+        """bench/run.py verify_outputs compares R^2 by !=, so the bits must
+        not depend on the layout of the prediction or the truth."""
+        pred, truth = self.long_series(7)
+        base = r_squared(pred, truth)
+        wide_pred, wide_truth = np.zeros((60_000, 3)), np.zeros((60_000, 3))
+        wide_pred[:, :2], wide_truth[:, :2] = pred, truth
+        layouts = [
+            (np.asfortranarray(pred), np.asfortranarray(truth)),
+            (np.asfortranarray(pred), truth),
+            (wide_pred[:, :2], wide_truth[:, :2]),
+            (np.repeat(pred, 2, axis=0)[::2], np.repeat(truth, 2, axis=0)[::2]),
+        ]
+        for p, t in layouts:
+            assert np.array_equal(p, pred) and np.array_equal(t, truth)
+            assert r_squared(p, t) == base
 
 
 class TestConnectionSparsity:

@@ -14,12 +14,15 @@ list has to follow the code (tests/test_mutants.py checks that in tier-1). A
 mutant that survives needs a test that kills it, or a note below saying why
 it is equivalent.
 
-Standard library only and not part of tier-1. CI runs three of them after
-tier-1 (.github/workflows/tier1.yml): scan-operands-float32,
-backward-decay-one and epoch-start-mask-dropped, the training kernel's
-operands and masking, so CI fails if tier-1 stops killing one. A mutant
-takes about as long as tier-1 up to its first failure (tier-1 is about
-17 s on 2 cores; those three, with the unmutated run, about 35 s).
+Standard library only and not part of tier-1. CI runs seven of them after
+tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
+one: scan-operands-float32, backward-decay-one and epoch-start-mask-dropped,
+the training kernel's operands and masking, and count-every-row,
+eval-stale-tail-rows, eval-membranes-kept-across-segments and
+eval-short-window-stacked, the eval wavefront's counts, zeroed rows,
+membrane resets and lane schedule. A mutant takes about as long as tier-1
+up to its first failure (tier-1 is about 17 s on 2 cores; those seven, with
+the unmutated run, about 90 s).
 """
 
 import os
@@ -71,6 +74,10 @@ MUTANTS = [
      "tuple(np.asarray(v, dtype=np.float64)", "tuple(np.asarray(v, dtype=np.float32)"),
     ("eval-membranes-kept-across-segments", PKG + "network.py",
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
+    ("eval-short-window-stacked", PKG + "network.py",
+     "len(run) == B and all(n == Tw for _, (_, _, n) in run)", "len(run) == B"),
+    ("r2-mean-over-the-wrong-axis", PKG + "metrics.py",
+     "truth.mean(axis=1, keepdims=True)", "truth.mean(axis=0, keepdims=True)"),
     ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
      "allow_nan=False", "allow_nan=True"),
     # training and synthesis
