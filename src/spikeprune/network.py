@@ -185,6 +185,9 @@ class NetworkConfig:
 class WeightLayer:
     """Dense weight matrix (rows = postsynaptic) with a binary prune mask.
 
+    The mask is stored as uint8; it may come as bool, int or float, but
+    every entry must be 0 or 1 (ValueError otherwise).
+
     Wherever mask is 0 the stored weight is kept at exactly 0; the forward
     pass additionally multiplies by the mask so stored values under a 0 mask
     can never leak into the computation. Whether a layer spikes and may be
@@ -196,7 +199,16 @@ class WeightLayer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
+        mask = np.asarray(self.mask)
+        # the cast would turn 0.5 into 0 and -1 into 255, and training's
+        # live index assumes 0/1. A uint8 mask, the package's own, is checked
+        # by its max, which allocates nothing: temporaries here shift the
+        # heap that eval's buffers are later taken from
+        binary = (mask.max(initial=0) <= 1 if mask.dtype == np.uint8
+                  else ((mask == 0) | (mask == 1)).all())
+        if not binary:
+            raise ValueError("mask entries must be 0 or 1")
+        self.mask = np.asarray(mask, dtype=np.uint8)
         if self.weights.shape != self.mask.shape:
             raise ValueError(
                 f"weights shape {self.weights.shape} != mask shape {self.mask.shape}"

@@ -3,12 +3,12 @@
 The controller starts from a pretrained dense network whose validation loss
 is frozen as the target. Each iteration checkpoints the network, removes the
 lowest-magnitude unmasked weights at the current rate (per-layer or pooled
-globally over the hidden layers), then fine-tunes until validation loss is
-back within `tolerance` of the target. If that takes more than `patience`
-epochs the checkpoint is restored and the rate is halved. The run ends when
-the rate falls below the minimum or the cumulative pruned fraction reaches
-its cap. Masks only ever gain zeros, except at a rollback where they revert
-exactly to the checkpointed set.
+globally over the hidden layers), then fine-tunes, for at least one epoch,
+until validation loss is back within `tolerance` of the target. If that
+takes more than `patience` epochs the checkpoint is restored and the rate
+is halved. The run ends when the rate falls below the minimum or the
+cumulative pruned fraction reaches its cap. Masks only ever gain zeros,
+except at a rollback where they revert exactly to the checkpointed set.
 
 Rates are percentage points of each layer's (or the pool's) *original*
 weight count, so cumulative bookkeeping stays coherent as layers thin out.
@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Network, WeightLayer
-from .training import AdamOptimizer, TrainConfig, TrainingDivergedError, train_epoch, validate
+from .training import (AdamOptimizer, TrainConfig, TrainingDivergedError, _require_int,
+                       train_epoch, validate)
 
 __all__ = [
     "PruneHyperParams",
@@ -92,8 +93,7 @@ class PruneHyperParams:
             raise ValueError("pruned_max must be in (0,1)")
         if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        _require_int("patience", self.patience, 0)
         if self.scope not in (PER_LAYER, GLOBAL):
             raise ValueError(f"unknown scope {self.scope!r}")
         if self.mode not in (FULL_ADAPTIVE, TOLERANCE_ONLY, FIXED):
@@ -276,7 +276,9 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
 
     The input network is not modified. `trainer` may be any object exposing
     train_epoch(net) -> loss, validate(net) -> loss and reset_optimizer();
-    by default an EngineTrainer over `datasets` and `tc` is used.
+    by default an EngineTrainer over `datasets` and `tc` is used. A gated
+    mode raises ValueError if its gate, the dense validation loss times
+    (1 + tolerance), is NaN.
     """
     if trainer is None:
         if datasets is None or tc is None:
@@ -290,6 +292,10 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
     fixed = hp.mode == FIXED
     # fixed mode has no gate: a step is accepted after exactly `patience` epochs
     gate = None if fixed else trainer.validate(net) * (1.0 + hp.tolerance)
+    if gate is not None and np.isnan(gate):
+        # no loss is within a NaN gate: every step would be rolled back
+        raise ValueError(f"the gate, validation loss x (1 + tolerance), is NaN "
+                         f"(tolerance {hp.tolerance!r})")
     prunable = net.prunable_layers()
     max_zeros = _zero_budget(hp.pruned_max, sum(l.n_weights for l in prunable))
     rate = hp.p_start
@@ -305,9 +311,11 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
         pruned = prunable_zero_fraction(net)
         trace.prune_applied(epoch_count, rate, pruned)
 
-        current = np.inf
+        # NaN is within no gate, an infinite one included: a gated step
+        # fine-tunes at least one epoch, and a diverged one is rolled back
+        current = np.nan
         fine_tune_epochs = 0
-        while (fine_tune_epochs < hp.patience) if fixed else (current > gate):
+        while (fine_tune_epochs < hp.patience) if fixed else not (current <= gate):
             if fine_tune_epochs > hp.patience:
                 net.restore(snap)
                 pruned = prunable_zero_fraction(net)
@@ -330,7 +338,7 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
                     )
                 # gated modes treat divergence exactly like an exhausted patience
                 fine_tune_epochs = hp.patience + 1
-                current = np.inf
+                current = np.nan
         if reason:
             break
 

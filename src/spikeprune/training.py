@@ -12,7 +12,8 @@ The loss is mean squared error between the output membranes and the velocity
 labels at every labeled timestep. Gradients are accumulated over truncated
 windows of `batch_length` timesteps and applied once per window; membrane
 state carries across windows within a contiguous segment and resets between
-segments. The prune mask is reapplied after every parameter update, so
+segments. Pruned weights are zeroed at the start of every epoch, and
+after every update unless the optimizer moved only the unmasked ones, so
 pruned weights are exactly zero at every observation point.
 
 A training window costs as few numpy calls as the per-step scans allow,
@@ -23,14 +24,20 @@ with the bits of a layer-by-layer step:
   layers' weights views of it; the gradients are one flat vector too,
   written by matmul(out=) and masked by one multiply. Adam steps the flat
   weights from the flat gradients with flat moments, once a window, not
-  once a layer, and one putmask against the epoch's cached zero-mask
-  (masks do not change within an epoch) replaces weights[mask == 0] = 0.
-  The same putmask runs once before the first window, so the weights are
-  zero under the masks throughout: they are each window's effective
-  weights, with the bits of weights·mask (w·1 is w, +0.0·0 is +0.0), and
-  no window takes a product. Every op is elementwise, so the bits do not
-  depend on how the layers are laid out. The forward and backward passes
-  share the layers' weights as the effective weights.
+  once a layer. Its moments advance at every entry. On a net less than
+  _INDEXED_MAX_DENSITY live, its update runs only on the live (unmasked)
+  weights, indexed once per epoch since masks do not change within an
+  epoch, so the update costs what the live weights cost and never writes a
+  masked weight. A denser net steps every weight, which is cheaper than
+  gathering the live ones, and one putmask against the epoch's zero-mask
+  zeroes the masked weights after each step. The same putmask runs before
+  the first window, so the weights are zero under the masks throughout:
+  they are each window's effective weights, with the bits of weights·mask
+  (w·1 is w, +0.0·0 is +0.0), and no window takes a product. Every op is
+  elementwise, so the bits do not depend on how the layers are laid out,
+  nor on whether a live weight is updated alone or in a pass over every
+  entry. The forward and backward passes share the layers' weights as the
+  effective weights.
 - Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
   du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
   du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
@@ -59,6 +66,8 @@ with the bits of a layer-by-layer step:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +98,17 @@ class TrainConfig:
     batch_length: int = 100
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.batch_length < 1:
-            raise ValueError("batch_length must be >= 1")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        _require_int("max_epochs", self.max_epochs, 0)
+        _require_int("batch_length", self.batch_length, 1)
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def surrogate_spike_grad(u, params: LifParams, out=None):
@@ -266,6 +280,12 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# train_epoch indexes Adam's update to the live weights while they are fewer
+# than this share of all weights. Above it, gathering and scattering them
+# costs more than the update and the per-step putmask that it saves (at
+# desk shape, 32 and 96 channels, 2 shared cores, BLAS 1 thread, an epoch
+# breaks even at 0.75-0.78)
+_INDEXED_MAX_DENSITY = 0.75
 
 
 class AdamOptimizer:
@@ -278,9 +298,15 @@ class AdamOptimizer:
         self._v = None
         self._t = 0
 
-    def step(self, w: np.ndarray, g: np.ndarray) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray, live: np.ndarray | slice) -> None:
         """One Adam update of the flat weights w, in place, from the flat
-        gradient g; the moments are flat vectors of the same layout."""
+        gradient g; the moments are flat vectors of the same layout.
+
+        Both moments advance at every entry, so a masked weight's moments
+        decay as a dense step's would; only the entries live indexes (an
+        index array, or a full slice) move. Elementwise, so each live
+        weight gets the bits of a step over the whole vector.
+        """
         if self._m is None:
             self._m = np.zeros_like(g)
             self._v = np.zeros_like(g)
@@ -292,7 +318,7 @@ class AdamOptimizer:
         m += (1.0 - _BETA1) * g
         v *= _BETA2
         v += (1.0 - _BETA2) * g * g
-        w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)
+        w[live] -= self.lr * (m[live] / b1t) / (np.sqrt(v[live] / b2t) + _EPS)
 
 
 def _length_groups(segments):
@@ -316,8 +342,13 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     Equal-length segments advance in lockstep and share each window's update;
     the loss is the MSE of the forward predictions made during the pass
     (before the window's update), pooled over all labeled timesteps.
-    optimizer.step(w, g) gets the flat weights and gradients, laid out as
-    _layer_views, and must update w in place; the next window overwrites g.
+    optimizer.step(w, g, live) gets the flat weights and gradients, laid
+    out as _layer_views, and which weights to update: the flat index of the
+    unmasked ones while they are fewer than _INDEXED_MAX_DENSITY of all,
+    else slice(None), after which train_epoch zeroes the masked weights
+    again itself. It must update w in place and leave w unchanged outside
+    live, which keeps the masked weights at +0.0; the next window
+    overwrites g.
     """
     groups = _length_groups(segments)
     if not groups:
@@ -333,6 +364,13 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     mask = _flat_mask(net)
     zero = mask == 0
     np.putmask(w, zero, 0.0)
+    live = np.flatnonzero(mask)
+    # a net at least _INDEXED_MAX_DENSITY live steps every weight, and
+    # zeroes its masked ones, if it has any, again after each step
+    remask = False
+    if live.size >= _INDEXED_MAX_DENSITY * w.size:
+        remask = live.size < w.size
+        live = slice(None)
     g = np.empty_like(w)
     grads = _layer_views(g, net.layers)
     total_sq = 0.0
@@ -348,8 +386,9 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
                                          effective, grads)
             g *= mask
             total_n += acts[-1].size
-            optimizer.step(w, g)
-            np.putmask(w, zero, 0.0)
+            optimizer.step(w, g, live)
+            if remask:
+                np.putmask(w, zero, 0.0)
     return total_sq / total_n
 
 

@@ -519,3 +519,23 @@ class TestConfig:
         for layer, w in zip(net.layers, before):
             assert np.array_equal(layer.weights, w)
             assert layer.mask.all()
+
+
+class TestWeightLayer:
+    @pytest.mark.parametrize("mask", [
+        [[True, False]], [[1, 0]], [[1.0, 0.0]], [[np.uint8(1), -0.0]],
+    ], ids=["bool", "int", "float", "negative-zero"])
+    def test_binary_masks_stored_as_uint8(self, mask):
+        layer = WeightLayer(np.ones((1, 2)), np.array(mask))
+        assert layer.mask.dtype == np.uint8
+        assert layer.mask.tolist() == [[1, 0]]
+
+    @pytest.mark.parametrize("mask", [
+        [[1.0, 0.5]], [[1.0, -1.0]], [[1, 2]], [[1.0, math.nan]], [[1.0, math.inf]],
+        np.array([[1, 2]], dtype=np.uint8), np.array([[0, 255]], dtype=np.uint8),
+    ], ids=["half", "minus-one", "int-two", "nan", "inf", "uint8-two", "uint8-255"])
+    def test_non_binary_masks_are_rejected(self, mask):
+        # the uint8 cast made 0.5 a 0 and -1.0 a 255; a 2 stayed 2, which
+        # eval ran as 2w while training doubled the gradient
+        with pytest.raises(ValueError, match="mask"):
+            WeightLayer(np.ones((1, 2)), np.asarray(mask))

@@ -286,6 +286,44 @@ class TestAdaptiveController:
         assert trace.events[-1].reason == "pruned-max"
         assert prunable_zero_fraction(net) == 0.95
 
+    @pytest.mark.parametrize("mode", [FULL_ADAPTIVE, TOLERANCE_ONLY])
+    def test_infinite_gate_still_fine_tunes(self, mode):
+        # tolerance inf made the gate inf, and the step loop, which ran while
+        # loss > gate, accepted every step after 0 epochs
+        def run(tolerance):
+            return adaptive_prune(indy_net(seed=9), None, self.hp(tolerance=tolerance, mode=mode),
+                                  trainer=always_succeed())[1]
+
+        huge, inf = run(1e300), run(float("inf"))
+        assert huge.total_epochs() == len(huge.of_kind("prune-applied")) > 0
+        assert [e.csv_row() for e in inf.events] == [e.csv_row() for e in huge.events]
+
+    def test_overflowing_gate_still_fine_tunes(self):
+        # target·(1 + tolerance) overflows to inf: one epoch per step all the same
+        target = 1e300
+        _, trace = adaptive_prune(indy_net(seed=9), None, self.hp(tolerance=1e10),
+                                  trainer=always_succeed(target))
+        assert trace.total_epochs() == len(trace.of_kind("prune-applied")) == 10
+
+    def test_divergence_rolls_back_under_an_infinite_gate(self):
+        dense = indy_net(seed=10)
+        trainer = FakeTrainer(lambda i: float("nan"))
+        net, trace = adaptive_prune(dense, None, self.hp(tolerance=float("inf")),
+                                    trainer=trainer)
+        assert trace.events[-1].reason == "min-rate"
+        assert prunable_zero_fraction(net) == 0.0
+        assert len(trace.of_kind("rollback")) == trace.total_epochs() == len(HALVING_SEQUENCE)
+
+    @pytest.mark.parametrize("target, tolerance", [(float("nan"), 0.1), (0.0, float("inf"))],
+                             ids=["nan-loss", "zero-loss-infinite-tolerance"])
+    def test_nan_gate_rejected(self, target, tolerance):
+        # no loss is within a NaN gate, so every step would fine-tune and roll back
+        trainer = always_succeed(target)
+        with pytest.raises(ValueError, match="gate"):
+            adaptive_prune(indy_net(seed=11), None, self.hp(tolerance=tolerance),
+                           trainer=trainer)
+        assert trainer.calls == 1
+
     def test_input_net_is_not_mutated(self):
         dense = indy_net(seed=13)
         before = [l.weights.copy() for l in dense.layers]
@@ -360,6 +398,12 @@ class TestHyperParamValidation:
             PruneHyperParams(scope="columnwise")
         with pytest.raises(ValueError):
             PruneHyperParams(mode="extra-adaptive")
+
+    @pytest.mark.parametrize("patience", [2.5, True, -1])
+    def test_patience_is_a_nonnegative_integer(self, patience):
+        # 2.5 was accepted as it was
+        with pytest.raises(ValueError, match="patience"):
+            PruneHyperParams(patience=patience)
 
     def test_p_start_is_at_most_100_percentage_points(self):
         # a finite but huge rate overflowed prune_step's count to a traceback

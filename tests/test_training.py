@@ -16,6 +16,7 @@ from helpers import (
 from spikeprune.data import SpikeSession, generate_synthetic, split_session
 from spikeprune.network import (DIFFERENTIABLE, LifParams, Network, NetworkConfig, WeightLayer,
                                 network_forward)
+from spikeprune.pruning import GLOBAL, prunable_zero_fraction, prune_step
 from spikeprune.training import (
     AdamOptimizer,
     TrainConfig,
@@ -27,7 +28,7 @@ from spikeprune.training import (
     train_epoch,
     validate,
 )
-from spikeprune.training import _layer_views
+from spikeprune.training import _INDEXED_MAX_DENSITY, _flat_mask, _layer_views
 
 
 def random_tiny_net(rng, max_width=3, init_scale=1.5):
@@ -41,13 +42,19 @@ def random_tiny_net(rng, max_width=3, init_scale=1.5):
 
 class RecordingOptimizer:
     """Stores each step's gradients, per layer of net, and leaves the
-    weights alone."""
+    weights alone. Checks that live indexes the unmasked weights, or is a
+    full slice when they are at least _INDEXED_MAX_DENSITY of all."""
 
     def __init__(self, net):
         self.layers = net.layers
         self.grads = []
 
-    def step(self, w, g):
+    def step(self, w, g, live):
+        mask = np.concatenate([layer.mask.ravel() for layer in self.layers])
+        if np.count_nonzero(mask) >= _INDEXED_MAX_DENSITY * mask.size:
+            assert live == slice(None)
+        else:
+            assert np.array_equal(live, np.flatnonzero(mask))
         self.grads.append(_layer_views(g.copy(), self.layers))
 
 
@@ -263,6 +270,101 @@ class TestTrainEpoch:
         assert_same_bits(opt._m, np.concatenate([m.ravel() for m in ref_opt.m]))
         assert_same_bits(opt._v, np.concatenate([v.ravel() for v in ref_opt.v]))
 
+    def test_prune_snapshot_restore_sequence_matches_per_layer_step(self):
+        # the controller's life in miniature: one optimizer throughout,
+        # pruned between epochs, snapshot, pruned again, trained, then
+        # restored without an optimizer reset and trained again, on both
+        # sides of _INDEXED_MAX_DENSITY. Weights pruned after their moments
+        # moved, and revived by the restore with moments that kept decaying
+        # while masked, keep the bits of the dense per-layer step
+        rng = np.random.default_rng(7)
+        net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=7),
+                                  init_scale=2.5)
+        ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
+                                   for l in net.layers])
+        segs = [SpikeSession(spikes=(rng.random((T, 6)) < 0.5).astype(np.uint8),
+                             velocity=rng.normal(size=(T, 2)), dt_ms=1.0)
+                for T in (57, 57, 30)]
+        tc = TrainConfig(learning_rate=5e-3, batch_length=10)
+        opt, ref_opt = AdamOptimizer(tc.learning_rate), PerLayerAdam(tc.learning_rate)
+        live_shares = []
+
+        def epoch():
+            live_shares.append(_flat_mask(net).mean())
+            assert_same_bits(train_epoch(net, segs, tc, opt),
+                             per_layer_train_epoch(ref, segs, tc, ref_opt))
+
+        def prune(rate, scope="per-layer"):
+            for n in (net, ref):
+                prune_step(n, rate, scope)
+
+        epoch()
+        prune(10.0)
+        epoch()  # every weight steps, the masked ones are zeroed after
+        snap, ref_snap = net.snapshot(), ref.snapshot()
+        prune(50.0, GLOBAL)
+        epoch()  # only the live weights step
+        net.restore(snap)
+        ref.restore(ref_snap)
+        epoch()
+        prune(50.0)
+        epoch()
+        assert [share >= _INDEXED_MAX_DENSITY for share in live_shares] == \
+            [True, True, False, True, False]
+        assert 0 < live_shares[1] < 1
+        for layer, ref_layer in zip(net.layers, ref.layers):
+            assert np.array_equal(layer.mask, ref_layer.mask)
+            assert_same_bits(layer.weights, ref_layer.weights)
+        assert_same_bits(opt._m, np.concatenate([m.ravel() for m in ref_opt.m]))
+        assert_same_bits(opt._v, np.concatenate([v.ravel() for v in ref_opt.v]))
+
+    @pytest.mark.parametrize("sparsity", [95.0, 10.0])
+    def test_masked_weights_are_plus_zero_after_every_window(self, sparsity):
+        # a dense epoch gives every weight nonzero moments; after a prune
+        # those moments keep decaying, but no window may leave a masked
+        # weight off +0.0, whether Adam steps the live weights alone (95%)
+        # or every weight (10%)
+        split = self.make_split(T=400)
+        net = Network.from_config(NetworkConfig.snn3(5, hidden=(20, 20, 20), seed=4),
+                                  init_scale=2.0)
+        tc = TrainConfig(learning_rate=5e-3, batch_length=10)
+        adam = AdamOptimizer(tc.learning_rate)
+        train_epoch(net, split["train"], tc, adam)
+        prune_step(net, sparsity)
+        masked = [l.mask == 0 for l in net.layers]
+        windows = []
+
+        class CheckingAdam:
+            def step(self, w, g, live):
+                if windows:  # the previous window's update, zeroed or not
+                    for layer, zero in zip(net.layers, masked):
+                        assert not layer.weights[zero].any()
+                        assert not np.signbit(layer.weights[zero]).any()
+                adam.step(w, g, live)
+                windows.append(isinstance(live, slice))
+
+        for _ in range(2):
+            train_epoch(net, split["train"], tc, CheckingAdam())
+            for layer, zero in zip(net.layers, masked):
+                assert not layer.weights[zero].any()
+                assert not np.signbit(layer.weights[zero]).any()
+        assert windows == [sparsity == 10.0] * len(windows) and len(windows) > 2
+        assert [l.n_masked / l.n_weights for l in net.prunable_layers()] == [sparsity / 100] * 3
+        assert np.count_nonzero(adam._m[np.concatenate([z.ravel() for z in masked])])
+
+    def test_optimizer_gets_the_live_index(self):
+        # RecordingOptimizer checks live: a full slice for a dense net and
+        # a lightly pruned one, the unmasked weights' flat index for a
+        # heavily pruned one
+        split = self.make_split()
+        net = Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6), seed=4))
+        tc = TrainConfig(batch_length=10)
+        for rate in (0.0, 10.0, 50.0):  # dense, 10%, then 60% pruned
+            prune_step(net, rate)
+            opt = RecordingOptimizer(net)
+            train_epoch(net, split["train"], tc, opt)
+            assert opt.grads
+
     def test_loss_does_not_increase_statistically(self):
         good = 0
         deltas = []
@@ -412,7 +514,7 @@ class TestOptimizers:
         net = Network.from_config(NetworkConfig.snn3(3, hidden=(2, 2, 2), seed=0))
         opt = AdamOptimizer(lr=1e-3)
         n = net.config.synapse_count()
-        opt.step(np.zeros(n), np.ones(n))
+        opt.step(np.zeros(n), np.ones(n), slice(None))
         assert opt._t == 1
         opt.reset()
         assert opt._t == 0 and opt._m is None
@@ -422,3 +524,33 @@ class TestOptimizers:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_length=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.inf), ("learning_rate", math.nan),
+        ("batch_length", 2.5), ("max_epochs", 2.5), ("max_epochs", True),
+    ], ids=["lr-inf", "lr-nan", "batch-length-2.5", "max-epochs-2.5", "max-epochs-bool"])
+    def test_config_rejects_values_that_fail_later(self, field, value):
+        # an infinite rate trained an epoch before it raised
+        # TrainingDivergedError; a fractional length or epoch count raised
+        # TypeError inside pretrain
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_adam_moves_only_the_live_weights(self):
+        # both moments advance everywhere; the weights outside live keep
+        # their bits, and those inside get the bits of a full-vector step
+        rng = np.random.default_rng(0)
+        w0 = rng.normal(size=12)
+        live = np.flatnonzero(rng.random(12) < 0.5)
+        full, part = AdamOptimizer(1e-2), AdamOptimizer(1e-2)
+        w_full, w_part = w0.copy(), w0.copy()
+        for _ in range(3):
+            g = rng.normal(size=12)
+            full.step(w_full, g, slice(None))
+            part.step(w_part, g, live)
+        assert_same_bits(part._m, full._m)
+        assert_same_bits(part._v, full._v)
+        assert_same_bits(w_part[live], w_full[live])
+        dead = np.setdiff1d(np.arange(12), live)
+        assert_same_bits(w_part[dead], w0[dead])
+        assert not np.array_equal(w_full[dead], w0[dead])

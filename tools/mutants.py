@@ -14,15 +14,15 @@ list has to follow the code (tests/test_mutants.py checks that in tier-1). A
 mutant that survives needs a test that kills it, or a note below saying why
 it is equivalent.
 
-Standard library only and not part of tier-1. CI runs seven of them after
+Standard library only and not part of tier-1. CI runs nine of them after
 tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
-one: scan-operands-float32, backward-decay-one and epoch-start-mask-dropped,
-the training kernel's operands and masking, and count-every-row,
-eval-stale-tail-rows, eval-membranes-kept-across-segments and
-eval-short-window-stacked, the eval wavefront's counts, zeroed rows,
-membrane resets and lane schedule. A mutant takes about as long as tier-1
-up to its first failure (tier-1 is about 17 s on 2 cores; those seven, with
-the unmutated run, about 90 s).
+one: scan-operands-float32, backward-decay-one, epoch-start-mask-dropped,
+after-step-mask-dropped and adam-updates-masked-weights, the training
+kernel's operands and masking, and count-every-row, eval-stale-tail-rows,
+eval-membranes-kept-across-segments and eval-short-window-stacked, the eval
+wavefront's counts, zeroed rows, membrane resets and lane schedule. A
+mutant takes about as long as tier-1 up to its first failure (tier-1 is
+about 17 s on 2 cores; those nine, with the unmutated run, about 120 s).
 """
 
 import os
@@ -56,7 +56,7 @@ MUTANTS = [
     ("zero-budget-without-epsilon", PKG + "pruning.py",
      "pruned_max * total + 1e-6", "pruned_max * total"),
     ("gate-ties-fail", PKG + "pruning.py",
-     "else (current > gate):", "else (current >= gate):"),
+     "not (current <= gate):", "not (current < gate):"),
     ("tolerance-nan-accepted", PKG + "pruning.py",
      "if not self.tolerance >= 0:", "if self.tolerance < 0:"),
     # eval, data and the CLI
@@ -82,11 +82,16 @@ MUTANTS = [
      "allow_nan=False", "allow_nan=True"),
     # training and synthesis
     ("adam-without-second-moment-correction", PKG + "training.py",
-     "np.sqrt(v / b2t)", "np.sqrt(v)"),
+     "np.sqrt(v[live] / b2t)", "np.sqrt(v[live])"),
+    ("adam-updates-masked-weights", PKG + "training.py",
+     "w[live] -= self.lr * (m[live] / b1t) / (np.sqrt(v[live] / b2t) + _EPS)",
+     "w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)"),
     ("backward-decay-one", PKG + "training.py",
      "decay = ws.decay", "decay = np.asarray(1.0, dtype=np.float64)"),
     ("epoch-start-mask-dropped", PKG + "training.py",
      "\n    np.putmask(w, zero, 0.0)\n", "\n"),
+    ("after-step-mask-dropped", PKG + "training.py",
+     "            if remask:\n                np.putmask(w, zero, 0.0)\n", ""),
     ("surrogate-unclipped", PKG + "training.py",
      "    np.maximum(0.0, g, out=g)\n", ""),
     ("synthesis-drive-in-reverse-channel-order", PKG + "data.py",
