@@ -1,10 +1,10 @@
 """Walk through the LIF neuron dynamics one step at a time.
 
 Shows the three ingredients of the neuron model: exponential membrane decay,
-integration of masked synaptic input, and the fire-at-threshold reset. Each
-part runs a one-neuron hidden layer through `forward_window`, the kernel that
-training, validation and eval all use; it returns every pre-reset membrane
-along with the spikes. Run:
+integration of synaptic input behind a prune mask, and the fire-at-threshold
+reset. Each part runs a one-neuron hidden layer through `forward_window`, the
+kernel that training, validation and eval all use; it returns every
+pre-reset membrane along with the spikes. Run:
 
     python demos/01_lif_dynamics.py
 """
@@ -54,8 +54,10 @@ for step in range(16):
     print(f"  step {step}: u = {after[step]:.6f}{marker}")
 print()
 
-# 3. a masked synapse is invisible no matter what weight value it stores
-_, u, _ = run(neuron([0.6, 100.0], [1, 0]), [[1.0, 1.0]])
+# 3. a masked synapse is absent: building the layer sets a weight under a
+#    zero mask to 0, and every pass reads the weights as they are
+net = neuron([0.6, 100.0], [1, 0])
+_, u, _ = run(net, [[1.0, 1.0]])
 print("two presynaptic spikes into weights [0.6, 100.0] with mask [1, 0]:")
+print(f"  the layer stores weights {net.layers[0].weights[0].tolist()}")
 print(f"  resulting membrane = {u[0]:.3f} (only the unmasked 0.6 counts)")
-print(f"  stored-but-masked weights never reach the computation")

@@ -48,7 +48,20 @@ def _header_blob(header: dict) -> bytes:
                       allow_nan=False).encode("utf-8")
 
 
+def _check_layer(i: int, w: np.ndarray, m: np.ndarray, error: type, where: str) -> None:
+    """Raise error unless load_checkpoint accepts layer i's float64 weights w
+    under its uint8 mask m; where ends the message."""
+    if not np.isfinite(w).all():
+        raise error(f"layer {i} has non-finite weights{where}")
+    if (m > 1).any():
+        raise error(f"layer {i} has mask bytes other than 0 and 1{where}")
+    if (w[m == 0] != 0.0).any():
+        raise error(f"layer {i} has nonzero weights under a zero mask{where}")
+
+
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
+    """Write net and meta to path, atomically; raises ValueError, before
+    opening the file, for a network that load_checkpoint would reject."""
     p = net.config.lif
     header = {
         "format_version": FORMAT_VERSION,
@@ -59,13 +72,14 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
         "meta": meta or {},
     }
     blob = _header_blob(header)
+    payload = []
+    for i, layer in enumerate(net.layers):
+        w, m = layer.weights.astype("<f8"), layer.mask.astype(np.uint8)
+        _check_layer(i, w, m, ValueError, ", which load_checkpoint rejects")
+        payload += [w.tobytes(order="C"), m.tobytes(order="C")]
     with atomic_write(path) as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for layer in net.layers:
-            f.write(layer.weights.astype("<f8").tobytes(order="C"))
-            f.write(layer.mask.astype(np.uint8).tobytes(order="C"))
+        for part in (MAGIC, struct.pack("<I", len(blob)), blob, *payload):
+            f.write(part)
 
 
 def _reject_constant(name):
@@ -142,11 +156,6 @@ def load_checkpoint(path):
         off += n * 8
         m = np.frombuffer(blob, dtype=np.uint8, count=n, offset=off).reshape(rows, cols)
         off += n
-        if not np.isfinite(w).all():
-            raise CheckpointError(f"layer {i} has non-finite weights in {path}")
-        if (m > 1).any():
-            raise CheckpointError(f"layer {i} has mask bytes other than 0 and 1 in {path}")
-        if (w[m == 0] != 0.0).any():
-            raise CheckpointError(f"layer {i} has nonzero weights under a zero mask in {path}")
+        _check_layer(i, w, m, CheckpointError, f" in {path}")
         layers.append(WeightLayer(weights=w.copy(), mask=m.copy()))
     return Network(config, layers), header["meta"]

@@ -82,14 +82,14 @@ def r_squared(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def connection_sparsity(net: Network, prunable_only: bool = False) -> float:
-    """Fraction of zero-valued effective weights.
+    """Fraction of zero-valued weights (a masked weight is 0, WeightLayer).
 
     Default counts every layer including the readout; prunable_only restricts
     to the layers the pruning controller may touch.
     """
     layers = net.prunable_layers() if prunable_only else net.layers
     total = sum(l.n_weights for l in layers)
-    zeros = sum(int(np.count_nonzero(l.effective() == 0.0)) for l in layers)
+    zeros = sum(l.n_weights - int(np.count_nonzero(l.weights)) for l in layers)
     return zeros / total if total else 0.0
 
 
@@ -113,10 +113,10 @@ def activation_sparsity(record) -> float:
 def effective_ops(record, net: Network) -> float:
     """Average accumulates (ACs) the record's spikes trigger per timestep.
 
-    One AC per (nonzero presynaptic activation, nonzero effective weight)
-    pair, summed over connection layers and averaged over timesteps: per
-    layer, the dot product of each input column's fired count with the
-    column's nonzero weights. record is a SpikeCounts or an ActivationRecord.
+    One AC per (nonzero presynaptic activation, nonzero weight) pair, summed
+    over connection layers and averaged over timesteps: per layer, the dot
+    product of each input column's fired count with the column's nonzero
+    weights. record is a SpikeCounts or an ActivationRecord.
     """
     fired = record.fired
     if [len(f) for f in fired] != list(net.config.layer_dims[:-1]):
@@ -126,7 +126,7 @@ def effective_ops(record, net: Network) -> float:
         return 0.0
     total = 0
     for f, layer in zip(fired, net.layers):
-        total += int(f @ np.count_nonzero(layer.effective(), axis=0))
+        total += int(f @ np.count_nonzero(layer.weights, axis=0))
     return total / T
 
 

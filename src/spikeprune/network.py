@@ -1,11 +1,11 @@
 """Leaky integrate-and-fire network core.
 
-A network is a stack of dense layers with binary prune masks. Hidden layers
-hold spiking LIF neurons; the final layer holds two non-spiking LIF neurons
-whose membrane potentials are read out directly as the X/Y velocity
-prediction. Per timestep each neuron decays its membrane by exp(-dt/tau),
-integrates the masked weighted sum of presynaptic spikes, and (if spiking)
-fires and resets wherever the membrane reaches the threshold.
+A network is a stack of dense layers with binary prune masks, each weight 0
+where its mask is. Hidden layers hold spiking LIF neurons; the final layer
+holds two non-spiking LIF neurons whose membrane potentials are read out
+directly as the X/Y velocity prediction. Per timestep each neuron decays its
+membrane by exp(-dt/tau), integrates the weighted sum of presynaptic spikes,
+and (if spiking) fires and resets wherever the membrane reaches threshold.
 
 The per-step update lives in one helper, `_lif_scan`: add the decayed
 membrane carried from the step before, compare with the threshold, and
@@ -188,9 +188,11 @@ class WeightLayer:
     The mask is stored as uint8; it may come as bool, int or float, but
     every entry must be 0 or 1 (ValueError otherwise).
 
-    Wherever mask is 0 the stored weight is kept at exactly 0; the forward
-    pass additionally multiplies by the mask so stored values under a 0 mask
-    can never leak into the computation. Whether a layer spikes and may be
+    Wherever mask is 0 the weight is ±0.0: the constructor sets a nonzero
+    weight there to +0.0, in a new array, leaving the caller's as it was.
+    The forward and backward passes, eval and the metrics read the weights
+    as they are. An in-place edit of weights or mask must keep this
+    invariant, or build the layer again. Whether a layer spikes and may be
     pruned follows from its place in the Network: all but the readout.
     """
 
@@ -213,14 +215,11 @@ class WeightLayer:
             raise ValueError(
                 f"weights shape {self.weights.shape} != mask shape {self.mask.shape}"
             )
-
-    def effective(self) -> np.ndarray:
-        """Weights with the mask applied."""
-        return self.weights * self.mask
-
-    def apply_mask(self) -> None:
-        """Force stored weights to exactly 0 wherever the mask is 0."""
-        self.weights[self.mask == 0] = 0.0
+        # a mask with no zero, such as a dense layer's, costs only its min
+        if self.mask.min(initial=1) == 0:
+            stray = (self.mask == 0) & (self.weights != 0.0)
+            if stray.any():
+                self.weights = np.where(stray, 0.0, self.weights)
 
     @property
     def n_weights(self) -> int:
@@ -300,14 +299,14 @@ class Network:
         self.layers = layers
 
     @classmethod
-    def from_config(cls, config: NetworkConfig, init_scale: float = 1.0) -> "Network":
-        """Seeded dense initialization; weights ~ N(0, init_scale^2/fan_in)."""
+    def from_config(cls, config: NetworkConfig) -> "Network":
+        """Seeded dense initialization; weights ~ N(0, 1/fan_in)."""
         rng = np.random.default_rng(config.seed)
         layers = []
         for i in range(config.n_layers):
             fan_in = config.layer_dims[i]
             fan_out = config.layer_dims[i + 1]
-            w = rng.normal(0.0, init_scale / math.sqrt(fan_in), size=(fan_out, fan_in))
+            w = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in))
             mask = np.ones((fan_out, fan_in), dtype=np.uint8)
             layers.append(WeightLayer(weights=w, mask=mask))
         return cls(config, layers)
@@ -320,8 +319,9 @@ class Network:
         return self.layers[:-1]
 
     def apply_masks(self) -> None:
+        # no caller in the package: bench/run.py traces it by this name
         for layer in self.layers:
-            layer.apply_mask()
+            np.putmask(layer.weights, layer.mask == 0, 0.0)
 
     def snapshot(self) -> dict:
         """Deep copy of weights and masks (in-memory checkpoint)."""
@@ -421,16 +421,14 @@ class _Workspace:
         self.fired_rows = [f.view(np.uint8).reshape(Tw * B, f.shape[2]) for f in fired]
 
 
-def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, effective=None):
+def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str):
     """Advance ws's membranes over x [n x B x input_dim]; returns (acts, membranes).
 
     The body of forward_window: the state is the workspace's d, left as the
     next window's start, and acts and membranes are views of ws, valid
-    until its next window. The GEMMs read and write ws's row views and the
-    scans take ws's operands. effective holds each layer's weights·mask when
-    the caller already has them (train_epoch passes the layers' weights,
-    zero under the masks, and shares them with the backward pass); by
-    default each layer's effective() is taken.
+    until its next window. The GEMMs read and write ws's row views, against
+    the layers' weights as they are (zero under the masks, WeightLayer), and
+    the scans take ws's operands.
     """
     n, B = x.shape[0], x.shape[1]
     rows = n * B
@@ -443,7 +441,7 @@ def _forward_window(net: Network, ws: _Workspace, x: np.ndarray, mode: str, effe
         # C-contiguous W^T: BLAS takes another kernel for the transposed view,
         # which rounds the current differently in the last bit
         w_t = ws.w_t[i]
-        np.copyto(w_t, (layer.effective() if effective is None else effective[i]).T)
+        np.copyto(w_t, layer.weights.T)
         np.matmul(x_rows, w_t, out=ws.u_rows[i][:rows])
         u = ws.u[i][:n]
         d = ws.d[i]
@@ -579,7 +577,7 @@ def _wavefront(net: Network, sequences, starts, lanes, Tw: int, pred) -> list[np
     h = np.empty((Tw, B, off[-1]))
     xs = [x0] + [h[:, :, off[l]:off[l + 1]].transpose(1, 0, 2) for l in range(n_layers - 1)]
     # C-contiguous W^T, as in forward_window
-    w_t = [layer.effective().T.copy() for layer in net.layers]
+    w_t = [layer.weights.T.copy() for layer in net.layers]
     # each layer's input block as [Tw·B x K] rows, all of which a full window reads
     rows = [x0.reshape(B * Tw, dims[0])] + [
         h[:, :, off[l]:off[l + 1]].reshape(Tw * B, -1) for l in range(n_layers - 1)]

@@ -224,7 +224,7 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
         for j, layer in enumerate(layers):
             sel = layer_idx == j
             layer.mask[rows[sel], cols[sel]] = 0
-            layer.apply_mask()
+            layer.weights[rows[sel], cols[sel]] = 0.0
             removed[group[j]] = int(np.count_nonzero(sel))
     return removed
 

@@ -12,9 +12,9 @@ The loss is mean squared error between the output membranes and the velocity
 labels at every labeled timestep. Gradients are accumulated over truncated
 windows of `batch_length` timesteps and applied once per window; membrane
 state carries across windows within a contiguous segment and resets between
-segments. Pruned weights are zeroed at the start of every epoch, and
-after every update unless the optimizer moved only the unmasked ones, so
-pruned weights are exactly zero at every observation point.
+segments. Pruned weights are zero on the way in (WeightLayer), and a
+masked weight is zeroed again after every update that moved it, so pruned
+weights are exactly zero at every observation point.
 
 A training window costs as few numpy calls as the per-step scans allow,
 with the bits of a layer-by-layer step:
@@ -30,14 +30,12 @@ with the bits of a layer-by-layer step:
   epoch, so the update costs what the live weights cost and never writes a
   masked weight. A denser net steps every weight, which is cheaper than
   gathering the live ones, and one putmask against the epoch's zero-mask
-  zeroes the masked weights after each step. The same putmask runs before
-  the first window, so the weights are zero under the masks throughout:
-  they are each window's effective weights, with the bits of weights·mask
-  (w·1 is w, +0.0·0 is +0.0), and no window takes a product. Every op is
-  elementwise, so the bits do not depend on how the layers are laid out,
-  nor on whether a live weight is updated alone or in a pass over every
-  entry. The forward and backward passes share the layers' weights as the
-  effective weights.
+  zeroes the masked weights after each step. So the weights stay zero
+  under the masks, as WeightLayer makes them, and the forward and backward
+  passes read them as they are: no window takes a weights·mask product.
+  Every op is elementwise, so the bits do not depend on how the layers are
+  laid out, nor on whether a live weight is updated alone or in a pass over
+  every entry.
 - Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
   du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
   du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
@@ -158,14 +156,14 @@ class _TrainWorkspace(_Workspace):
 
 
 def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: np.ndarray,
-                     mode: str, effective, grads) -> float:
+                     mode: str, grads) -> float:
     """Write the window-MSE gradient of every weight matrix into grads.
 
     acts and membranes are what forward_window returned for the window, run
-    in ws, and effective the weights·mask it ran with (for train_epoch, the
-    layers' weights, zero under the masks); grads[i] gets layer i's
-    gradient, unmasked. Returns the window's summed squared error. The
-    GEMMs read and write ws's row views.
+    in ws with the layers' weights, which carry the gradient down as they
+    are (zero under the masks); grads[i] gets layer i's gradient, unmasked.
+    Returns the window's summed squared error. The GEMMs read and write
+    ws's row views.
     Layer-major, from the readout down: each layer runs a reverse
     elementwise scan over the window, and one GEMM carries its membrane
     gradients to the layer below. A SPIKING hidden layer's scan is
@@ -224,7 +222,7 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
                 c = du_t
         du = ws.du_rows[i][:rows]
         if i > 0:
-            np.matmul(du, effective[i], out=ws.du_rows[i - 1][:rows])
+            np.matmul(du, net.layers[i].weights, out=ws.du_rows[i - 1][:rows])
         x = ws.spike_rows[i - 1][:rows] if i > 0 else acts[0].reshape(rows, -1)
         np.matmul(du.T, x, out=grads[i])
     return sse
@@ -263,7 +261,6 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
         state = [np.zeros(net.config.layer_dims[i + 1])
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
-    effective = [layer.effective() for layer in net.layers]
     ws = _TrainWorkspace(net.config, x.shape[0], 1)
     acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
                                                   mode, ws=ws)
@@ -271,7 +268,7 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     mask = _flat_mask(net)
     g = np.empty_like(mask)
     grads = _layer_views(g, net.layers)
-    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, effective, grads)
+    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, grads)
     g *= mask
     return loss, grads, [s[0] for s in final_state]
 
@@ -347,23 +344,18 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     unmasked ones while they are fewer than _INDEXED_MAX_DENSITY of all,
     else slice(None), after which train_epoch zeroes the masked weights
     again itself. It must update w in place and leave w unchanged outside
-    live, which keeps the masked weights at +0.0; the next window
-    overwrites g.
+    live, which keeps the masked weights zero; the next window overwrites g.
     """
     groups = _length_groups(segments)
     if not groups:
         raise ValueError("empty training dataset")
     # one flat vector each for the weights and the gradients; the layers'
-    # weights become views of a new packed copy. The masks hold for the whole
-    # epoch, and the weights are zero under them from here on, as after every
-    # step: they are each window's effective weights
+    # weights become views of a new packed copy. The masks hold all epoch
     w = np.concatenate([layer.weights.ravel() for layer in net.layers])
-    effective = _layer_views(w, net.layers)
-    for layer, view in zip(net.layers, effective):
+    for layer, view in zip(net.layers, _layer_views(w, net.layers)):
         layer.weights = view
     mask = _flat_mask(net)
     zero = mask == 0
-    np.putmask(w, zero, 0.0)
     live = np.flatnonzero(mask)
     # a net at least _INDEXED_MAX_DENSITY live steps every weight, and
     # zeroes its masked ones, if it has any, again after each step
@@ -381,9 +373,8 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
         ws = _TrainWorkspace(net.config, min(cfg.batch_length, length), len(group))
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING, effective)
-            total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING,
-                                         effective, grads)
+            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING)
+            total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING, grads)
             g *= mask
             total_n += acts[-1].size
             optimizer.step(w, g, live)

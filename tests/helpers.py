@@ -19,7 +19,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from spikeprune.network import DIFFERENTIABLE, SPIKING, Network, NetworkConfig, forward_window
+from spikeprune.network import (DIFFERENTIABLE, SPIKING, Network, NetworkConfig, WeightLayer,
+                                 forward_window)
 from spikeprune.pruning import PER_LAYER
 from spikeprune.pruning import prunable_zero_fraction
 from spikeprune.training import compute_gradients, surrogate_spike_grad
@@ -31,6 +32,26 @@ def indy_net(seed=0):
 
 def small_net(seed=0):
     return Network.from_config(NetworkConfig.snn3(12, hidden=(10, 10, 10), seed=seed))
+
+
+def scaled_net(config, scale):
+    """Network.from_config(config) with every weight multiplied by scale."""
+    net = Network.from_config(config)
+    for layer in net.layers:
+        layer.weights *= scale
+    return net
+
+
+def set_masks(net, masks):
+    """Give net's first len(masks) layers these masks (None keeps a layer).
+
+    Each layer is built again as WeightLayer(weights, mask), which sets the
+    weights under a zero mask to 0.
+    """
+    for i, mask in enumerate(masks):
+        if mask is not None:
+            net.layers[i] = WeightLayer(net.layers[i].weights, mask)
+    return net
 
 
 def scalar_reference_trace(net, spikes, state=None):
@@ -214,7 +235,8 @@ def per_layer_window_grads(net, acts, membranes, truth):
                 du_t += decay * c * kt
                 c = du_t
         if i > 0:
-            src = (du.reshape(Tw * B, -1) @ net.layers[i].effective()).reshape(Tw, B, -1)
+            w = net.layers[i].weights * net.layers[i].mask
+            src = (du.reshape(Tw * B, -1) @ w).reshape(Tw, B, -1)
         grad = du.reshape(Tw * B, -1).T @ acts[i].reshape(Tw * B, -1)
         grad *= net.layers[i].mask
         grads[i] = grad
@@ -225,7 +247,7 @@ def per_layer_train_epoch(net, segments, cfg, optimizer):
     """train_epoch's oracle: the same windows, each a per-layer step.
 
     Equal-length segments form a batch in first-occurrence order; each
-    window runs forward_window on the layers' own effective weights,
+    window runs forward_window on the layers' own weights,
     per_layer_window_grads, optimizer.step and then, layer by layer,
     weights[mask == 0] = 0. Returns the pooled training MSE.
     """
@@ -264,7 +286,7 @@ def brute_force_ops(record, net):
     total = 0
     for t in range(record.timesteps):
         for li, layer in enumerate(net.layers):
-            eff = layer.effective()
+            eff = layer.weights * layer.mask
             pre_acts = record.layer_inputs(li)[t]
             for post in range(eff.shape[0]):
                 for pre in range(eff.shape[1]):

@@ -22,6 +22,8 @@ from helpers import (
     brute_force_ops,
     finite_difference_grads,
     indy_net,
+    scaled_net,
+    set_masks,
     small_net,
 )
 from spikeprune.cli import main as cli_main
@@ -101,9 +103,9 @@ def test_criterion_3_effective_ops_oracle():
             cfg = NetworkConfig.snn3(dims[0], hidden=dims[1:-1],
                                      seed=int(rng.integers(1 << 30)))
             net = Network.from_config(cfg)
+            set_masks(net, [(rng.random(layer.mask.shape) > 0.4).astype(np.uint8)
+                            for layer in net.layers])
             for layer in net.layers:
-                layer.mask = (rng.random(layer.mask.shape) > 0.4).astype(np.uint8)
-                layer.apply_mask()
                 layer.weights *= 4.0
             T = int(rng.integers(1, 17))
             x = (rng.random((T, dims[0])) < 0.5).astype(float)
@@ -121,7 +123,7 @@ def test_criterion_4_gradient_check():
             cfg = NetworkConfig.snn3(cin, hidden=dims_h,
                                      lif=LifParams(tau=float(rng.uniform(1, 8))),
                                      seed=int(rng.integers(1 << 30)))
-            net = Network.from_config(cfg, init_scale=1.5)
+            net = scaled_net(cfg, 1.5)
             T = int(rng.integers(1, 6))
             x = (rng.random((T, cin)) < 0.5).astype(float)
             y = rng.normal(size=(T, 2))

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import set_masks
+
 from spikeprune.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -21,10 +23,8 @@ def make_net(seed=0):
                              lif=LifParams(tau=7.5, dt=2.0), seed=seed)
     net = Network.from_config(cfg)
     rng = np.random.default_rng(seed + 1)
-    for layer in net.layers:
-        layer.mask = (rng.random(layer.mask.shape) > 0.3).astype(np.uint8)
-        layer.apply_mask()
-    return net
+    return set_masks(net, [(rng.random(layer.mask.shape) > 0.3).astype(np.uint8)
+                           for layer in net.layers])
 
 
 class TestRoundTrip:
@@ -210,6 +210,24 @@ class TestStrictBoundary:
             p.write_bytes(bad)
             with pytest.raises(CheckpointError):
                 load_checkpoint(p)
+
+    @pytest.mark.parametrize("fault", ["masked-in-place", "nan", "inf", "mask-two"])
+    def test_save_rejects_what_load_would_reject(self, tmp_path, fault):
+        # an in-place edit can leave a layer that load_checkpoint rejects:
+        # save must refuse it before it opens the file
+        net = make_net(seed=7)
+        layer = net.layers[0]
+        live = tuple(np.argwhere(layer.weights != 0.0)[0])
+        if fault == "masked-in-place":
+            layer.mask[live] = 0
+        elif fault == "mask-two":
+            layer.mask[live] = 2
+        else:
+            layer.weights[live] = float(fault)
+        p = tmp_path / "n.ckpt"
+        with pytest.raises(ValueError, match="layer 0"):
+            save_checkpoint(p, net)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_headers_are_rejected(self, tmp_path):
         blob, hlen = self.saved(tmp_path)

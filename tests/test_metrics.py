@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brute_force_ops, fsum_r_squared
+from helpers import brute_force_ops, fsum_r_squared, scaled_net, set_masks
 
 from spikeprune.metrics import (
     DegenerateTruthError,
@@ -20,6 +20,7 @@ from spikeprune.network import (
     LifParams,
     Network,
     NetworkConfig,
+    WeightLayer,
     _forward_sequences,
     network_forward,
 )
@@ -107,9 +108,7 @@ class TestConnectionSparsity:
 
     def test_fully_masked_indy_shape(self):
         net = make_net((96, 50, 50, 50, 2))
-        for layer in net.prunable_layers():
-            layer.mask[:] = 0
-            layer.apply_mask()
+        set_masks(net, [np.zeros_like(layer.mask) for layer in net.prunable_layers()])
         assert connection_sparsity(net, prunable_only=True) == 1.0
         assert connection_sparsity(net) == pytest.approx(9800 / 9900)
 
@@ -193,9 +192,9 @@ class TestEffectiveOps:
             cfg = NetworkConfig.snn3(dims[0], hidden=dims[1:-1],
                                      seed=int(rng.integers(1 << 30)))
             net = Network.from_config(cfg)
-            for layer in net.layers:
-                layer.mask = (rng.random(layer.mask.shape) > 0.4).astype(np.uint8)
-                layer.apply_mask()
+            for i, layer in enumerate(net.layers):
+                net.layers[i] = layer = WeightLayer(
+                    layer.weights, (rng.random(layer.mask.shape) > 0.4).astype(np.uint8))
                 # sprinkle exact zeros among the unmasked weights too
                 zero = rng.random(layer.weights.shape) < 0.2
                 layer.weights[zero] = 0.0
@@ -236,12 +235,13 @@ class TestEffectiveOps:
         _, rec = network_forward(net, x)
         prev = effective_ops(rec, net)
         for _ in range(5):
-            for layer in net.prunable_layers():
-                live = np.argwhere(layer.mask == 1)
+            masks = [layer.mask.copy() for layer in net.prunable_layers()]
+            for mask in masks:
+                live = np.argwhere(mask == 1)
                 if live.size:
                     r, c = live[rng.integers(len(live))]
-                    layer.mask[r, c] = 0
-                    layer.apply_mask()
+                    mask[r, c] = 0
+            set_masks(net, masks)
             ops = effective_ops(rec, net)
             assert ops <= prev
             prev = ops
@@ -294,9 +294,10 @@ class TestSegmentEvaluation:
         assert len(segs) > _EVAL_LANES
         w = _EVAL_WINDOW + 1
         assert [s.timesteps for s in segs] == [3750, w, w, 3751, 3751, 3751, w, w, w]
-        net = Network.from_config(NetworkConfig.snn3(96, seed=4), init_scale=2.0)
-        net.layers[1].mask[::3] = 0
-        net.apply_masks()
+        net = scaled_net(NetworkConfig.snn3(96, seed=4), 2.0)
+        mask = net.layers[1].mask.copy()
+        mask[::3] = 0
+        set_masks(net, [None, mask])
 
         runs = [network_forward(net, seg.spikes) for seg in segs]
         pred = np.concatenate([p for p, _ in runs])
@@ -310,7 +311,7 @@ class TestSegmentEvaluation:
         acs = zeros = size = 0
         for _, r in runs:
             for i, layer in enumerate(net.layers):
-                col_nnz = np.count_nonzero(layer.effective(), axis=0)
+                col_nnz = np.count_nonzero(layer.weights * layer.mask, axis=0)
                 acs += int(np.count_nonzero(r.layer_inputs(i), axis=0) @ col_nnz)
             for a in (r.input_spikes, *r.hidden_spikes, r.output_membrane):
                 zeros += int(np.count_nonzero(a == 0))

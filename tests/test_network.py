@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import scalar_reference_forward, scalar_reference_trace
+from helpers import (assert_same_bits, scalar_reference_forward, scalar_reference_trace,
+                     scaled_net, set_masks)
 
 import spikeprune.network as network
 from spikeprune.network import (
@@ -133,7 +134,7 @@ class TestSpikeAndReset:
         rng = np.random.default_rng(4)
         for seed in range(5):
             cfg = NetworkConfig.snn3(3, hidden=(4, 3, 4), lif=p, seed=seed)
-            net = Network.from_config(cfg, init_scale=3.0)
+            net = scaled_net(cfg, 3.0)
             x = (rng.random((30, 3)) < 0.6).astype(float)
             pred, rec = network_forward(net, x)
             assert any(h.any() for h in rec.hidden_spikes)
@@ -214,17 +215,22 @@ class TestNetworkForward:
             assert np.allclose(u, expect, rtol=1e-12, atol=0)
 
     def test_mask_opacity(self):
+        # values written under a zero mask are dropped when the layer is
+        # built, so they never reach the forward
         rng = np.random.default_rng(5)
         net = tiny_net(seed=5)
-        for layer in net.layers:
-            layer.mask = (rng.random(layer.mask.shape) > 0.4).astype(np.uint8)
+        set_masks(net, [(rng.random(layer.mask.shape) > 0.4).astype(np.uint8)
+                        for layer in net.layers])
         x = (rng.random((20, 2)) < 0.5).astype(float)
         base, base_rec = network_forward(net, x)
         # scribble arbitrary values under the masked positions
-        for layer in net.layers:
-            noise = rng.normal(size=layer.weights.shape) * 100
-            layer.weights = np.where(layer.mask == 0, noise, layer.weights)
-        pred, rec = network_forward(net, x)
+        noisy = Network(net.config, [
+            WeightLayer(np.where(layer.mask == 0, rng.normal(size=layer.weights.shape) * 100,
+                                 layer.weights), layer.mask)
+            for layer in net.layers])
+        for layer in noisy.layers:
+            assert not layer.weights[layer.mask == 0].any()
+        pred, rec = network_forward(noisy, x)
         assert np.array_equal(base, pred)
         for a, b in zip(base_rec.hidden_spikes, rec.hidden_spikes):
             assert np.array_equal(a, b)
@@ -358,8 +364,7 @@ class TestEvalDriver:
     def test_matches_windowed_kernel_and_scalar_reference(self, monkeypatch):
         monkeypatch.setattr(network, "_EVAL_WINDOW", 5)
         p = LifParams(tau=3.0, threshold=0.9, reset_value=0.3)
-        net = Network.from_config(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=8),
-                                  init_scale=3.0)
+        net = scaled_net(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=8), 3.0)
         net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) + 0.5
         rng = np.random.default_rng(8)
         lengths = [17, 6, 0, 33, 5, 4, 1, 17, 6, 1, 33, 4, 5, 17, 1, 6, 0, 4]
@@ -408,8 +413,7 @@ class TestEvalDriver:
             scanned.append(sum(int(np.count_nonzero(f)) for f in fired or ()))
 
         monkeypatch.setattr(network, "_lif_scan", spying_scan)
-        net = Network.from_config(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=3),
-                                  init_scale=2.0)
+        net = scaled_net(NetworkConfig.snn3(3, hidden=(6, 5, 4), lif=p, seed=3), 2.0)
         rng = np.random.default_rng(3)
         lengths = [17, 6, 33, 4, 1, 12, 2, 1, 7, 3]
         assert len(lengths) > network._EVAL_LANES
@@ -444,8 +448,7 @@ class TestEvalDriver:
         # leaves unwritten would be added in again at every stage, and an
         # idle lane's carried membranes would grow geometrically to overflow
         p = LifParams(tau=1000.0)
-        net = Network.from_config(
-            NetworkConfig.snn3(4, hidden=(6,) * 8, lif=p, seed=5), init_scale=2.0)
+        net = scaled_net(NetworkConfig.snn3(4, hidden=(6,) * 8, lif=p, seed=5), 2.0)
         rng = np.random.default_rng(5)
         T = 300 * network._EVAL_WINDOW
         seqs = [(rng.random((n, 4)) < 0.4).astype(np.uint8) for n in [T] + [1] * 20]
@@ -474,8 +477,7 @@ class TestEvalDriver:
         # after about 300 stages, while the true membranes stay near 1e202
         monkeypatch.setattr(network, "_EVAL_LANES", 1)
         p = LifParams(tau=1000.0)
-        net = Network.from_config(
-            NetworkConfig.snn3(4, hidden=(6,), lif=p, seed=5), init_scale=2.0)
+        net = scaled_net(NetworkConfig.snn3(4, hidden=(6,), lif=p, seed=5), 2.0)
         net.layers[-1].weights[:] = np.abs(net.layers[-1].weights) * 1e200
         rng = np.random.default_rng(5)
         Tw = network._EVAL_WINDOW
@@ -522,13 +524,27 @@ class TestConfig:
 
 
 class TestWeightLayer:
-    @pytest.mark.parametrize("mask", [
-        [[True, False]], [[1, 0]], [[1.0, 0.0]], [[np.uint8(1), -0.0]],
-    ], ids=["bool", "int", "float", "negative-zero"])
-    def test_binary_masks_stored_as_uint8(self, mask):
-        layer = WeightLayer(np.ones((1, 2)), np.array(mask))
+    @pytest.mark.parametrize("mask, weights, stored", [
+        ([[True, False]], [[1.0, 1.0]], [[1.0, 0.0]]),
+        ([[1, 0]], [[1.0, 1.0]], [[1.0, 0.0]]),
+        ([[1.0, 0.0]], [[1.0, 1.0]], [[1.0, 0.0]]),
+        ([[np.uint8(1), -0.0]], [[1.0, 1.0]], [[1.0, 0.0]]),
+        ([[1, 0]], [[2.0, -3.0]], [[2.0, 0.0]]),
+        ([[1, 0]], [[2.0, -0.0]], [[2.0, -0.0]]),
+        ([[1, 1]], [[2.0, -3.0]], [[2.0, -3.0]]),
+    ], ids=["bool", "int", "float", "negative-zero", "nonzero-weight-masked",
+            "negative-zero-weight-masked", "no-zero-mask"])
+    def test_binary_masks_stored_as_uint8(self, mask, weights, stored):
+        # a nonzero weight under a zero mask becomes +0.0, a -0.0 stays, in
+        # a new array: the caller's array is left as it was, and shared
+        # when nothing changes
+        w = np.array(weights)
+        layer = WeightLayer(w, np.array(mask))
         assert layer.mask.dtype == np.uint8
-        assert layer.mask.tolist() == [[1, 0]]
+        assert layer.mask.tolist() == (np.array(mask) != 0).astype(int).tolist()
+        assert_same_bits(layer.weights, np.array(stored))
+        assert_same_bits(w, np.array(weights))
+        assert (layer.weights is w) == (stored == weights)
 
     @pytest.mark.parametrize("mask", [
         [[1.0, 0.5]], [[1.0, -1.0]], [[1, 2]], [[1.0, math.nan]], [[1.0, math.inf]],

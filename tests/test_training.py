@@ -11,6 +11,8 @@ from helpers import (
     per_layer_train_epoch,
     scalar_reference_trace,
     scalar_surrogate_grads,
+    scaled_net,
+    set_masks,
 )
 
 from spikeprune.data import SpikeSession, generate_synthetic, split_session
@@ -31,13 +33,13 @@ from spikeprune.training import (
 from spikeprune.training import _INDEXED_MAX_DENSITY, _flat_mask, _layer_views
 
 
-def random_tiny_net(rng, max_width=3, init_scale=1.5):
+def random_tiny_net(rng, max_width=3, scale=1.5):
     dims_h = tuple(int(rng.integers(1, max_width + 1)) for _ in range(3))
     cin = int(rng.integers(1, max_width + 1))
     lif = LifParams(tau=float(rng.uniform(1.0, 8.0)), dt=1.0)
     cfg = NetworkConfig.snn3(cin, hidden=dims_h, lif=lif,
                              seed=int(rng.integers(1 << 30)))
-    return Network.from_config(cfg, init_scale=init_scale)
+    return scaled_net(cfg, scale)
 
 
 class RecordingOptimizer:
@@ -106,10 +108,9 @@ class TestGradientCheck:
             rng = np.random.default_rng(seed)
             cfg = NetworkConfig.snn3(6, hidden=(5, 4, 5), seed=seed,
                                      lif=LifParams(tau=float(rng.uniform(2.0, 8.0))))
-            net = Network.from_config(cfg, init_scale=2.5)
-            for layer in net.layers:
-                layer.mask = (rng.random(layer.mask.shape) > 0.2).astype(np.uint8)
-                layer.apply_mask()
+            net = scaled_net(cfg, 2.5)
+            set_masks(net, [(rng.random(layer.mask.shape) > 0.2).astype(np.uint8)
+                            for layer in net.layers])
             x = (rng.random((30, 6)) < 0.5).astype(float)
             y = rng.normal(size=(30, 2))
             state = None
@@ -130,8 +131,7 @@ class TestGradientCheck:
     def test_masked_weights_have_zero_gradient(self):
         rng = np.random.default_rng(1)
         net = random_tiny_net(rng)
-        net.layers[1].mask[:] = 0
-        net.apply_masks()
+        set_masks(net, [None, np.zeros_like(net.layers[1].mask)])
         x = (rng.random((4, net.input_dim)) < 0.5).astype(float)
         y = rng.normal(size=(4, 2))
         _, grads, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
@@ -159,9 +159,8 @@ class TestTrainEpoch:
         cfg = NetworkConfig.snn3(5, hidden=(6, 6, 6), seed=4)
         net = Network.from_config(cfg)
         rng = np.random.default_rng(0)
-        for layer in net.prunable_layers():
-            layer.mask = (rng.random(layer.mask.shape) > 0.5).astype(np.uint8)
-            layer.apply_mask()
+        set_masks(net, [(rng.random(layer.mask.shape) > 0.5).astype(np.uint8)
+                        for layer in net.prunable_layers()])
         tc = TrainConfig(learning_rate=5e-3, batch_length=10)
         opt = AdamOptimizer(tc.learning_rate)
         for _ in range(3):
@@ -175,7 +174,7 @@ class TestTrainEpoch:
         # the mean of the segments' scalar surrogate-BPTT gradients
         rng = np.random.default_rng(5)
         cfg = NetworkConfig.snn3(6, hidden=(5, 4, 5), seed=5, lif=LifParams(tau=4.0))
-        net = Network.from_config(cfg, init_scale=2.5)
+        net = scaled_net(cfg, 2.5)
         T, window = 24, 10
         segs = [SpikeSession(spikes=(rng.random((T, 6)) < 0.5).astype(np.uint8),
                              velocity=rng.normal(size=(T, 2)), dt_ms=1.0)
@@ -227,12 +226,10 @@ class TestTrainEpoch:
         # trains; at +inf none fires and nothing trains
         rng = np.random.default_rng(B)
         lif = LifParams(tau=4.0, threshold=threshold, reset_value=reset_value)
-        net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=B, lif=lif),
-                                  init_scale=2.5)
+        net = scaled_net(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=B, lif=lif), 2.5)
         if masked:
-            # the masked weights stay nonzero until the first update zeroes them
-            for layer in net.prunable_layers():
-                layer.mask = (rng.random(layer.mask.shape) >= masked).astype(np.uint8)
+            set_masks(net, [(rng.random(layer.mask.shape) >= masked).astype(np.uint8)
+                            for layer in net.prunable_layers()])
         ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
                                    for l in net.layers])
         start = [l.weights.copy() for l in net.layers]
@@ -278,8 +275,7 @@ class TestTrainEpoch:
         # moved, and revived by the restore with moments that kept decaying
         # while masked, keep the bits of the dense per-layer step
         rng = np.random.default_rng(7)
-        net = Network.from_config(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=7),
-                                  init_scale=2.5)
+        net = scaled_net(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=7), 2.5)
         ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
                                    for l in net.layers])
         segs = [SpikeSession(spikes=(rng.random((T, 6)) < 0.5).astype(np.uint8),
@@ -325,8 +321,7 @@ class TestTrainEpoch:
         # weight off +0.0, whether Adam steps the live weights alone (95%)
         # or every weight (10%)
         split = self.make_split(T=400)
-        net = Network.from_config(NetworkConfig.snn3(5, hidden=(20, 20, 20), seed=4),
-                                  init_scale=2.0)
+        net = scaled_net(NetworkConfig.snn3(5, hidden=(20, 20, 20), seed=4), 2.0)
         tc = TrainConfig(learning_rate=5e-3, batch_length=10)
         adam = AdamOptimizer(tc.learning_rate)
         train_epoch(net, split["train"], tc, adam)
@@ -371,7 +366,7 @@ class TestTrainEpoch:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             cfg = NetworkConfig.snn3(6, hidden=(8, 8, 8), seed=seed)
-            net = Network.from_config(cfg, init_scale=2.0)
+            net = scaled_net(cfg, 2.0)
             x = (rng.random((40, 6)) < 0.4).astype(float)
             y = rng.normal(size=(40, 2)) * 0.5
             l0, grads, _ = compute_gradients(net, x, y)
@@ -417,8 +412,7 @@ class TestValidate:
         for seed, hidden in [(0, (5, 5, 5)), (3, (16, 12, 8)), (5, (50, 50, 50))]:
             session = generate_synthetic(seed=seed, channels=8, T=20_000, rate=0.3)
             split = split_session(session)
-            net = Network.from_config(NetworkConfig.snn3(8, hidden=hidden, seed=seed),
-                                      init_scale=2.0)
+            net = scaled_net(NetworkConfig.snn3(8, hidden=hidden, seed=seed), 2.0)
             for seg in split["val"] + split["test"]:
                 pred, _ = network_forward(net, seg.spikes)
                 assert validate(net, [seg]) == mse_loss(pred, seg.velocity)
@@ -431,7 +425,7 @@ class TestValidate:
             split = split_session(generate_synthetic(seed=seed, channels=32, T=T, rate=0.3))
             segs = split["val"] + split["test"]
             assert {s.timesteps for s in segs} == ({1250} if T == 20_000 else {1250, 1251})
-            net = Network.from_config(NetworkConfig.snn3(32, seed=seed), init_scale=2.0)
+            net = scaled_net(NetworkConfig.snn3(32, seed=seed), 2.0)
             pred = np.concatenate([network_forward(net, s.spikes)[0] for s in segs])
             truth = np.concatenate([s.velocity for s in segs])
             assert validate(net, segs) == mse_loss(pred, truth)

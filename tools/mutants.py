@@ -16,9 +16,10 @@ it is equivalent.
 
 Standard library only and not part of tier-1. CI runs nine of them after
 tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
-one: scan-operands-float32, backward-decay-one, epoch-start-mask-dropped,
-after-step-mask-dropped and adam-updates-masked-weights, the training
-kernel's operands and masking, and count-every-row, eval-stale-tail-rows,
+one: scan-operands-float32 and backward-decay-one, the training kernel's
+operands; prune-leaves-weight, after-step-mask-dropped and
+adam-updates-masked-weights, the zeroing of masked weights in pruning and
+training; and count-every-row, eval-stale-tail-rows,
 eval-membranes-kept-across-segments and eval-short-window-stacked, the eval
 wavefront's counts, zeroed rows, membrane resets and lane schedule. A
 mutant takes about as long as tier-1 up to its first failure (tier-1 is
@@ -57,6 +58,8 @@ MUTANTS = [
      "pruned_max * total + 1e-6", "pruned_max * total"),
     ("gate-ties-fail", PKG + "pruning.py",
      "not (current <= gate):", "not (current < gate):"),
+    ("prune-leaves-weight", PKG + "pruning.py",
+     "            layer.weights[rows[sel], cols[sel]] = 0.0\n", ""),
     ("tolerance-nan-accepted", PKG + "pruning.py",
      "if not self.tolerance >= 0:", "if self.tolerance < 0:"),
     # eval, data and the CLI
@@ -64,6 +67,8 @@ MUTANTS = [
      "n_neurons = sum(net.config.layer_dims[1:])", "n_neurons = sum(net.config.layer_dims[1:-1])"),
     ("split-val-length-rounded", PKG + "data.py",
      "n_val = int(SPLIT_FRACTIONS[1] * length)", "n_val = round(SPLIT_FRACTIONS[1] * length)"),
+    ("layer-keeps-masked-weights", PKG + "network.py",
+     "self.weights = np.where(stray, 0.0, self.weights)", "pass"),
     ("count-every-row", PKG + "network.py",
      "counts[l] += ones[:n] @ x[b, :n]", "counts[l] += ones @ rows[l]"),
     ("full-window-count-dropped", PKG + "network.py",
@@ -88,8 +93,6 @@ MUTANTS = [
      "w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)"),
     ("backward-decay-one", PKG + "training.py",
      "decay = ws.decay", "decay = np.asarray(1.0, dtype=np.float64)"),
-    ("epoch-start-mask-dropped", PKG + "training.py",
-     "\n    np.putmask(w, zero, 0.0)\n", "\n"),
     ("after-step-mask-dropped", PKG + "training.py",
      "            if remask:\n                np.putmask(w, zero, 0.0)\n", ""),
     ("surrogate-unclipped", PKG + "training.py",
