@@ -24,13 +24,13 @@ network is feed-forward, so each layer's input current for the whole window
 is one GEMM over the finished output of the layer below, against the
 C-contiguous copy of W^T, pooling the B sequences into [Tw·B] rows; then
 the layer's membranes are scanned. It runs in a `_Workspace`: buffers for
-every layer's window, the per-step views the scans iterate and the
-membranes carried to the next window, made once for many windows of one
-shape (training makes one per length group), so a training window
-allocates no array and the scans are its only per-step cost. The workspace
-also holds what the window's shape fixes: the scan operands and the
-[Tw·B x H] row views its GEMMs read and write, of which a window of n steps
-slices the first n·B rows.
+the window's float64 input and every layer's window, the per-step views
+the scans iterate and the membranes carried to the next window, made once
+for many windows of one shape (training makes one per length group), so a
+training window allocates no array and the scans are its only per-step
+cost. The workspace also holds what the window's shape fixes: the scan
+operands and the [Tw·B x H] row views its GEMMs read and write, of which a
+window of n steps slices the first n·B rows.
 
 Eval and validation share one driver, `_forward_sequences`: one wavefront
 over fixed windows of _EVAL_WINDOW timesteps, on up to _EVAL_LANES lanes.
@@ -391,7 +391,10 @@ def _lif_operands(p: LifParams):
 class _Workspace:
     """forward_window's buffers for windows of up to Tw steps of B sequences.
 
-    Made once for many windows of config's shape. Per connection layer: the
+    Made once for many windows of config's shape. The window's input x
+    [Tw x B x input_dim] as float64, into which train_epoch,
+    compute_gradients and network_forward copy each window's spikes, so
+    none casts more than a window at a time. Per connection layer: the
     C-contiguous W^T, the pre-reset membranes u [Tw x B x H], into which the
     GEMM writes the input current, and the decayed membranes d [B x H] the
     scan carries from step to step and from window to window (zero at
@@ -408,6 +411,7 @@ class _Workspace:
         self.Tw = Tw
         self.threshold, self.decay, self.reset_decayed = _lif_operands(config.lif)
         shapes = [(Tw, B, h) for h in dims[1:]]
+        self.x = np.empty((Tw, B, dims[0]))
         self.w_t = [np.empty((k, h)) for k, h in zip(dims[:-1], dims[1:])]
         self.u = [np.empty(shape) for shape in shapes]
         self.d = [np.zeros(shape[1:]) for shape in shapes]
@@ -644,7 +648,8 @@ def network_forward(net: Network, spikes: np.ndarray):
     )
     ws = _Workspace(net.config, min(_EVAL_WINDOW, T), 1)
     for lo in range(0, T, _EVAL_WINDOW):
-        x = spikes[lo:lo + _EVAL_WINDOW, None, :].astype(np.float64)
+        x = ws.x[:min(_EVAL_WINDOW, T - lo)]
+        x[:, 0] = spikes[lo:lo + _EVAL_WINDOW]
         acts, _ = _forward_window(net, ws, x, SPIKING)
         for out, act in zip((*record.hidden_spikes, record.output_membrane), acts[1:]):
             out[lo:lo + len(x)] = act[:, 0]

@@ -42,6 +42,7 @@ The terminating event carries one of four reasons:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,14 +192,17 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
 
     The prunable layers form selection groups: each layer on its own in
     per-layer scope, all of them pooled in global scope. Each group requests
-    round(rate% * group size) weights, clamped to what it still has. Masks
-    are monotone. `max_total_zeros` caps the total mask-zero count across
-    prunable layers (cumulative-cap clamping); when the requests exceed what
-    is left of it, the budget is split in proportion to them (see
-    _split_budget).
+    round(rate% * group size) weights, clamped to what it still has; rate
+    must be finite and >= 0 (ValueError otherwise), and any rate above 100
+    asks for the whole group. Masks are monotone. `max_total_zeros` caps the
+    total mask-zero count across prunable layers (cumulative-cap clamping);
+    when the requests exceed what is left of it, the budget is split in
+    proportion to them (see _split_budget).
     """
     if scope not in (PER_LAYER, GLOBAL):
         raise ValueError(f"unknown scope {scope!r}")
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
     prunable = net.prunable_layers()
     removed = [0] * len(prunable)
     if not prunable:
@@ -214,7 +218,7 @@ def prune_step(net: Network, rate: float, scope: str = PER_LAYER,
     counts = []
     for group in groups:
         layers = [prunable[i] for i in group]
-        count = round(rate / 100.0 * sum(l.n_weights for l in layers))
+        count = round(min(rate, 100.0) / 100.0 * sum(l.n_weights for l in layers))
         counts.append(min(count, sum(l.n_weights - l.n_masked for l in layers)))
     if budget is not None and sum(counts) > budget:
         counts = _split_budget(counts, budget)

@@ -45,16 +45,19 @@ with the bits of a layer-by-layer step:
   step, its s being a sigmoid.
 - A workspace per length group. train_epoch makes one _TrainWorkspace per
   group of equal-length segments, sized [batch_length x B x H] per layer:
-  the membranes, fired flags and float spikes, du, dk, the readout error,
-  the C-contiguous W^T, and, made once, the per-step views the forward and
-  reverse scans iterate, the [batch_length·B x H] row views the GEMMs read
-  and write (of the membranes, spikes, fired flags and du) and the LIF
-  operands. The window's GEMMs write into it with matmul(out=), a tail
-  window uses its first n steps (n·B rows), and it carries the membranes
-  from window to window. compute_gradients makes one for its
-  single window, so both run the same code. A SPIKING window's forward
-  and backward passes allocate no array, and the same operations on the
-  same values give the same bits.
+  the window's input and labels, the membranes, fired flags and float
+  spikes, du, dk, the readout error, the C-contiguous W^T, and, made once,
+  the per-step views the forward and reverse scans iterate, the
+  [batch_length·B x H] row views the GEMMs read and write (of the
+  membranes, spikes, fired flags and du) and the LIF operands. The
+  window's GEMMs write into it with matmul(out=), a tail window uses its
+  first n steps (n·B rows), and it carries the membranes from window to
+  window. Each window copies every segment's rows into the input and
+  labels, the uint8 spikes cast exactly to float64, so nothing in
+  train_epoch grows with segment length: the split is never stacked.
+  compute_gradients makes one for its single window, so both run the same
+  code. A SPIKING window's forward and backward passes allocate no array,
+  and the same operations on the same values give the same bits.
 - Scalar operands as 0-d arrays. numpy converts a Python float operand
   into an array on every call, so the forward scans (_lif_scan) and the
   reverse scans take the threshold, decay and reset as float64 0-d arrays,
@@ -133,18 +136,21 @@ def mse_loss(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 class _TrainWorkspace(_Workspace):
-    """A _Workspace plus _backward_window's buffers.
+    """A _Workspace plus the window's labels and _backward_window's buffers.
 
-    Per layer: du [Tw x B x H], first the error arriving from the layer
-    above, then the membrane gradient, with its per-step views in reverse
-    order and its [Tw·B x H] row view for the GEMMs; per hidden layer
-    dk = decay·(1 - s), first the surrogate; the readout's error, and one
-    [B x H] carry product per layer. train_epoch
-    builds one per length group, compute_gradients one for its window.
+    The labels y [Tw x B x 2], into which train_epoch copies each window's
+    velocity rows, as it copies their spikes into x. Per layer:
+    du [Tw x B x H], first the error arriving from the layer above, then the
+    membrane gradient, with its per-step views in reverse order and its
+    [Tw·B x H] row view for the GEMMs; per hidden layer dk = decay·(1 - s),
+    first the surrogate; the readout's error, and one [B x H] carry product
+    per layer. train_epoch builds one per length group, compute_gradients
+    one for its window.
     """
 
     def __init__(self, config: NetworkConfig, Tw: int, B: int):
         super().__init__(config, Tw, B)
+        self.y = np.empty((Tw, B, config.layer_dims[-1]))
         self.err = np.empty((Tw, B, config.layer_dims[-1]))
         self.du = [np.empty(u.shape) for u in self.u]
         self.dk = [np.empty(u.shape) for u in self.u[:-1]]
@@ -249,10 +255,11 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     """Loss and weight gradients for one contiguous window.
 
     Returns (loss, grads, final_state); state defaults to zeros. grads are
-    the per-layer views of one flat vector.
+    the per-layer views of one flat vector. The window is copied into the
+    workspace's input and labels, as train_epoch copies its windows.
     """
-    x = np.asarray(spikes, dtype=np.float64)
-    y = np.asarray(velocity, dtype=np.float64)
+    x = np.asarray(spikes)
+    y = np.asarray(velocity)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"expected [T x {net.input_dim}] input, got {x.shape}")
     if y.shape != (x.shape[0], 2):
@@ -262,13 +269,14 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
                  for i in range(net.config.n_layers)]
     batched_state = [np.asarray(s, dtype=np.float64).reshape(1, -1) for s in state]
     ws = _TrainWorkspace(net.config, x.shape[0], 1)
-    acts, membranes, final_state = forward_window(net, x[:, None, :], batched_state,
-                                                  mode, ws=ws)
-    loss = mse_loss(acts[-1][:, 0, :], y)
+    ws.x[:, 0] = x
+    ws.y[:, 0] = y
+    acts, membranes, final_state = forward_window(net, ws.x, batched_state, mode, ws=ws)
+    loss = mse_loss(acts[-1][:, 0, :], ws.y[:, 0])
     mask = _flat_mask(net)
     g = np.empty_like(mask)
     grads = _layer_views(g, net.layers)
-    _backward_window(net, ws, acts, membranes, y[:, None, :], mode, grads)
+    _backward_window(net, ws, acts, membranes, ws.y, mode, grads)
     g *= mask
     return loss, grads, [s[0] for s in final_state]
 
@@ -327,17 +335,13 @@ def _length_groups(segments):
     return groups
 
 
-def _batch_group(group):
-    x = np.stack([s.spikes for s in group], axis=1).astype(np.float64)
-    y = np.stack([s.velocity for s in group], axis=1)
-    return x, y  # (T, B, channels), (T, B, 2)
-
-
 def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     """One pass over the training segments; returns the epoch training loss.
 
     Equal-length segments advance in lockstep and share each window's update;
-    the loss is the MSE of the forward predictions made during the pass
+    each window's rows of every segment are copied into its group's
+    workspace, so the memory taken does not grow with segment length. The
+    loss is the MSE of the forward predictions made during the pass
     (before the window's update), pooled over all labeled timesteps.
     optimizer.step(w, g, live) gets the flat weights and gradients, laid
     out as _layer_views, and which weights to update: the flat index of the
@@ -368,13 +372,16 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     total_sq = 0.0
     total_n = 0
     for length, group in groups.items():
-        x, y = _batch_group(group)
         # its membranes start at zero and carry from window to window
         ws = _TrainWorkspace(net.config, min(cfg.batch_length, length), len(group))
         for lo in range(0, length, cfg.batch_length):
             hi = min(lo + cfg.batch_length, length)
-            acts, membranes = _forward_window(net, ws, x[lo:hi], SPIKING)
-            total_sq += _backward_window(net, ws, acts, membranes, y[lo:hi], SPIKING, grads)
+            x, y = ws.x[:hi - lo], ws.y[:hi - lo]
+            for b, seg in enumerate(group):
+                x[:, b] = seg.spikes[lo:hi]
+                y[:, b] = seg.velocity[lo:hi]
+            acts, membranes = _forward_window(net, ws, x, SPIKING)
+            total_sq += _backward_window(net, ws, acts, membranes, y, SPIKING, grads)
             g *= mask
             total_n += acts[-1].size
             optimizer.step(w, g, live)

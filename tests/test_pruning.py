@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,12 +82,21 @@ class TestPruneStep:
         assert net.layers[-1].mask.all()
 
     def test_exhausting_rate_clamps(self):
-        net = indy_net(seed=3)
-        removed_per_layer = prune_step(net, 200.0, "per-layer")
-        assert removed_per_layer == [l.n_weights for l in net.prunable_layers()]
-        for layer in net.prunable_layers():
-            assert not layer.mask.any()
-        assert net.layers[-1].mask.all()
+        # 1e308% of a layer's count is past float64, so the rate clamps first
+        for rate in (200.0, 1e308):
+            net = indy_net(seed=3)
+            removed_per_layer = prune_step(net, rate, "per-layer")
+            assert removed_per_layer == [l.n_weights for l in net.prunable_layers()]
+            for layer in net.prunable_layers():
+                assert not layer.mask.any()
+            assert net.layers[-1].mask.all()
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_a_non_finite_or_negative_rate(self, rate):
+        net = indy_net(seed=6)
+        with pytest.raises(ValueError, match="rate"):
+            prune_step(net, rate)
+        assert all(layer.mask.all() for layer in net.layers)
 
     def test_masks_are_monotone(self):
         net = indy_net(seed=4)

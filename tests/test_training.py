@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,29 @@ class TestTrainEpoch:
             opt = RecordingOptimizer(net)
             train_epoch(net, split["train"], tc, opt)
             assert opt.grads
+
+    def test_memory_does_not_grow_with_segment_length(self):
+        # each window's rows are copied into the workspace, so no array in
+        # train_epoch grows with the split: a float64 copy of 4 x 2,000
+        # steps at 32 channels would add 1.5 MB over 4 x 500
+        rng = np.random.default_rng(11)
+        cfg = NetworkConfig.snn3(32, seed=11)
+        tc = TrainConfig(batch_length=25)
+
+        def peak(T):
+            segs = [SpikeSession(spikes=(rng.random((T, 32)) < 0.3).astype(np.uint8),
+                                 velocity=rng.normal(size=(T, 2)), dt_ms=1.0)
+                    for _ in range(4)]
+            net = Network.from_config(cfg)
+            opt = AdamOptimizer(tc.learning_rate)
+            tracemalloc.start()
+            try:
+                train_epoch(net, segs, tc, opt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) - peak(500) < 64 * 1024
 
     def test_loss_does_not_increase_statistically(self):
         good = 0

@@ -14,16 +14,18 @@ list has to follow the code (tests/test_mutants.py checks that in tier-1). A
 mutant that survives needs a test that kills it, or a note below saying why
 it is equivalent.
 
-Standard library only and not part of tier-1. CI runs nine of them after
+Standard library only and not part of tier-1. CI runs ten of them after
 tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
 one: scan-operands-float32 and backward-decay-one, the training kernel's
-operands; prune-leaves-weight, after-step-mask-dropped and
+operands; window-input-first-segment, the copy of each segment's rows into
+a training window's input; prune-leaves-weight, after-step-mask-dropped and
 adam-updates-masked-weights, the zeroing of masked weights in pruning and
 training; and count-every-row, eval-stale-tail-rows,
 eval-membranes-kept-across-segments and eval-short-window-stacked, the eval
 wavefront's counts, zeroed rows, membrane resets and lane schedule. A
 mutant takes about as long as tier-1 up to its first failure (tier-1 is
-about 17 s on 2 cores; those nine, with the unmutated run, about 120 s).
+about 17 s on 2 cores; those ten, with the unmutated run, about 130 s, and
+254 s on a slower host where tier-1 took 48 s).
 """
 
 import os
@@ -93,6 +95,10 @@ MUTANTS = [
      "w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)"),
     ("backward-decay-one", PKG + "training.py",
      "decay = ws.decay", "decay = np.asarray(1.0, dtype=np.float64)"),
+    ("window-input-first-segment", PKG + "training.py",
+     "x[:, b] = seg.spikes[lo:hi]", "x[:, b] = group[0].spikes[lo:hi]"),
+    ("window-labels-first-segment", PKG + "training.py",
+     "y[:, b] = seg.velocity[lo:hi]", "y[:, b] = group[0].velocity[lo:hi]"),
     ("after-step-mask-dropped", PKG + "training.py",
      "            if remask:\n                np.putmask(w, zero, 0.0)\n", ""),
     ("surrogate-unclipped", PKG + "training.py",
