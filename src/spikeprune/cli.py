@@ -10,7 +10,8 @@ metadata field).
 
 The train, prune and energy defaults are those of TrainConfig,
 PruneHyperParams and EnergyParams, but energy has no dt_ms key: eval's
-power uses the session's dt_ms, the timestep the LIF ran at. The prune
+power uses the session's dt_ms, the timestep the LIF ran at (prune and eval
+reject a session whose dt_ms is not the checkpoint's LIF dt). The prune
 command's --mode and --scope flags are merged into the config as
 prune.mode and prune.scope before its digest is taken.
 
@@ -155,12 +156,17 @@ def _network_config(cfg: dict, channels: int, dt_ms: float) -> NetworkConfig:
 
 
 def _load_split(cfg: dict, net=None):
-    """Load and split the configured session, checking it fits `net` if given."""
+    """Load and split the configured session, checking that it fits `net`, if
+    given: its channels are the net's inputs and its dt_ms the LIF's dt."""
     session = dataio.load_session(cfg["data"]["session"])
-    if net is not None and session.channels != net.input_dim:
-        raise dataio.SessionDimensionError(
-            f"checkpoint expects {net.input_dim} channels, session has {session.channels}"
-        )
+    if net is not None:
+        if session.channels != net.input_dim:
+            raise dataio.SessionDimensionError(
+                f"checkpoint expects {net.input_dim} channels, session has {session.channels}")
+        if session.dt_ms != net.config.lif.dt:
+            raise dataio.SessionDimensionError(
+                f"checkpoint's LIF timestep is {net.config.lif.dt!r} ms, session's dt_ms "
+                f"is {session.dt_ms!r}")
     return session, dataio.split_session(session, cfg["data"]["n_subsessions"])
 
 

@@ -119,8 +119,9 @@ class SpikeSession:
         return self.spikes.shape[0]
 
     def validate(self) -> None:
-        if self.spikes.ndim != 2:
-            raise SessionDimensionError(f"spikes must be [T x channels], got {self.spikes.shape}")
+        if self.spikes.ndim != 2 or self.spikes.shape[1] == 0:
+            raise SessionDimensionError(
+                f"spikes must be [T x channels] with channels > 0, got {self.spikes.shape}")
         if self.velocity.ndim != 2 or self.velocity.shape[1] != 2:
             raise SessionDimensionError(f"velocity must be [T x 2], got {self.velocity.shape}")
         if self.velocity.shape[0] != self.spikes.shape[0]:

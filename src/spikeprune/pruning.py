@@ -23,10 +23,17 @@ pruned.
 Two ablation modes: "tolerance-only" keeps the tolerance gate but terminates
 (restoring the last good network) the first time patience is exhausted;
 "fixed" prunes at the starting rate after every `patience`-epoch block,
-unconditionally, until the cap. All three modes run the same loop; fixed
-mode simply has no gate, so it never rolls back and raises
-TrainingDivergedError if fine-tuning diverges, where the gated modes treat
-divergence as an exhausted patience.
+unconditionally, until the cap. All three modes run one bounded epoch loop
+per prune step, and each step ends in one of three decisions:
+
+- accept: a gated step's epoch ends with finite losses and a validation
+  loss within the gate, target * (1 + tolerance); or fixed mode has run its
+  `patience` epochs;
+- roll back: a gated step that diverged (a non-finite training or
+  validation loss) or ran `patience` + 1 epochs without meeting the gate.
+  Full-adaptive halves the rate and resets the optimizer; tolerance-only
+  terminates;
+- raise: fixed-mode fine-tuning diverged (TrainingDivergedError).
 
 The terminating event carries one of four reasons:
 
@@ -315,36 +322,33 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
         pruned = prunable_zero_fraction(net)
         trace.prune_applied(epoch_count, rate, pruned)
 
-        # NaN is within no gate, an infinite one included: a gated step
-        # fine-tunes at least one epoch, and a diverged one is rolled back
-        current = np.nan
-        fine_tune_epochs = 0
-        while (fine_tune_epochs < hp.patience) if fixed else not (current <= gate):
-            if fine_tune_epochs > hp.patience:
-                net.restore(snap)
-                pruned = prunable_zero_fraction(net)
-                if hp.mode == TOLERANCE_ONLY:
-                    reason = "patience-exhausted"
-                else:
-                    rate = rate / 2.0
-                    trainer.reset_optimizer()
-                trace.rollback(epoch_count, pruned, rate)
-                break
+        # a gated step fine-tunes at least one epoch and stops at the first
+        # loss within the gate; NaN is within no gate, an infinite one included
+        accepted = fixed
+        for _ in range(hp.patience if fixed else hp.patience + 1):
             train_loss = trainer.train_epoch(net)
             current = trainer.validate(net)
             epoch_count += 1
-            fine_tune_epochs += 1
             trace.epoch(epoch_count, train_loss, current, rate, pruned)
             if not np.isfinite(train_loss) or not np.isfinite(current):
                 if fixed:
                     raise TrainingDivergedError(
-                        f"fixed-mode fine-tuning diverged at epoch {epoch_count}"
-                    )
-                # gated modes treat divergence exactly like an exhausted patience
-                fine_tune_epochs = hp.patience + 1
-                current = np.nan
-        if reason:
-            break
+                        f"fixed-mode fine-tuning diverged at epoch {epoch_count}")
+                break
+            if not fixed and current <= gate:
+                accepted = True
+                break
+        if not accepted:
+            net.restore(snap)
+            pruned = prunable_zero_fraction(net)
+            if hp.mode == TOLERANCE_ONLY:
+                reason = "patience-exhausted"
+            else:
+                rate = rate / 2.0
+                trainer.reset_optimizer()
+            trace.rollback(epoch_count, pruned, rate)
+            if reason:
+                break
 
     if not reason:
         reason = "min-rate" if rate < hp.p_min else "pruned-max"

@@ -12,9 +12,9 @@ The loss is mean squared error between the output membranes and the velocity
 labels at every labeled timestep. Gradients are accumulated over truncated
 windows of `batch_length` timesteps and applied once per window; membrane
 state carries across windows within a contiguous segment and resets between
-segments. Pruned weights are zero on the way in (WeightLayer), and a
-masked weight is zeroed again after every update that moved it, so pruned
-weights are exactly zero at every observation point.
+segments. Pruned weights are zero on the way in (WeightLayer), and no
+update writes a masked weight, so pruned weights are exactly zero at every
+observation point.
 
 A training window costs as few numpy calls as the per-step scans allow,
 with the bits of a layer-by-layer step:
@@ -24,13 +24,10 @@ with the bits of a layer-by-layer step:
   layers' weights views of it; the gradients are one flat vector too,
   written by matmul(out=) and masked by one multiply. Adam steps the flat
   weights from the flat gradients with flat moments, once a window, not
-  once a layer. Its moments advance at every entry. On a net less than
-  _INDEXED_MAX_DENSITY live, its update runs only on the live (unmasked)
-  weights, indexed once per epoch since masks do not change within an
-  epoch, so the update costs what the live weights cost and never writes a
-  masked weight. A denser net steps every weight, which is cheaper than
-  gathering the live ones, and one putmask against the epoch's zero-mask
-  zeroes the masked weights after each step. So the weights stay zero
+  once a layer. Its moments advance at every entry. On a masked net its
+  update runs only on the live (unmasked) weights, indexed once per epoch
+  since masks do not change within an epoch, so it never writes a masked
+  weight; a dense net steps the whole vector. So the weights stay zero
   under the masks, as WeightLayer makes them, and the forward and backward
   passes read them as they are: no window takes a weights·mask product.
   Every op is elementwise, so the bits do not depend on how the layers are
@@ -285,12 +282,6 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
-# train_epoch indexes Adam's update to the live weights while they are fewer
-# than this share of all weights. Above it, gathering and scattering them
-# costs more than the update and the per-step putmask that it saves (at
-# desk shape, 32 and 96 channels, 2 shared cores, BLAS 1 thread, an epoch
-# breaks even at 0.75-0.78)
-_INDEXED_MAX_DENSITY = 0.75
 
 
 class AdamOptimizer:
@@ -308,9 +299,10 @@ class AdamOptimizer:
         gradient g; the moments are flat vectors of the same layout.
 
         Both moments advance at every entry, so a masked weight's moments
-        decay as a dense step's would; only the entries live indexes (an
-        index array, or a full slice) move. Elementwise, so each live
-        weight gets the bits of a step over the whole vector.
+        decay as a dense step's would; only the entries live indexes move
+        (train_epoch passes the flat index of the unmasked weights, or a
+        full slice for a dense net). Elementwise, so each live weight gets
+        the bits of a step over the whole vector.
         """
         if self._m is None:
             self._m = np.zeros_like(g)
@@ -345,10 +337,9 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     (before the window's update), pooled over all labeled timesteps.
     optimizer.step(w, g, live) gets the flat weights and gradients, laid
     out as _layer_views, and which weights to update: the flat index of the
-    unmasked ones while they are fewer than _INDEXED_MAX_DENSITY of all,
-    else slice(None), after which train_epoch zeroes the masked weights
-    again itself. It must update w in place and leave w unchanged outside
-    live, which keeps the masked weights zero; the next window overwrites g.
+    unmasked ones if any weight is masked, else slice(None). It must update
+    w in place and leave w unchanged outside live, which keeps the masked
+    weights zero; the next window overwrites g.
     """
     groups = _length_groups(segments)
     if not groups:
@@ -359,13 +350,8 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
     for layer, view in zip(net.layers, _layer_views(w, net.layers)):
         layer.weights = view
     mask = _flat_mask(net)
-    zero = mask == 0
     live = np.flatnonzero(mask)
-    # a net at least _INDEXED_MAX_DENSITY live steps every weight, and
-    # zeroes its masked ones, if it has any, again after each step
-    remask = False
-    if live.size >= _INDEXED_MAX_DENSITY * w.size:
-        remask = live.size < w.size
+    if live.size == w.size:
         live = slice(None)
     g = np.empty_like(w)
     grads = _layer_views(g, net.layers)
@@ -385,8 +371,6 @@ def train_epoch(net: Network, segments, cfg: TrainConfig, optimizer) -> float:
             g *= mask
             total_n += acts[-1].size
             optimizer.step(w, g, live)
-            if remask:
-                np.putmask(w, zero, 0.0)
     return total_sq / total_n
 
 

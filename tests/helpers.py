@@ -5,7 +5,8 @@ the forward reference is a plain-Python scalar loop, spiking-mode gradients
 come from a plain-Python surrogate BPTT over that loop, differentiable-mode
 gradient checks use central finite differences over the public loss,
 operation counts come from a brute-force quadruple loop, prune selection
-from a plain-Python sort, synthetic labels from per-row Python sums, and
+from a plain-Python sort, the pruning controller from its module docstring
+read sentence by sentence, synthetic labels from per-row Python sums, and
 R^2 from math.fsum sums.
 The training step's bit-exactness oracle is the step layer by layer: a
 three-call reverse scan, Adam per layer and masking by boolean index.
@@ -21,9 +22,8 @@ import pytest
 
 from spikeprune.network import (DIFFERENTIABLE, SPIKING, Network, NetworkConfig, WeightLayer,
                                  forward_window)
-from spikeprune.pruning import PER_LAYER
-from spikeprune.pruning import prunable_zero_fraction
-from spikeprune.training import compute_gradients, surrogate_spike_grad
+from spikeprune.pruning import FIXED, PER_LAYER, TOLERANCE_ONLY, prunable_zero_fraction
+from spikeprune.training import TrainingDivergedError, compute_gradients, surrogate_spike_grad
 
 
 def indy_net(seed=0):
@@ -444,6 +444,108 @@ class RandomTrainer(FakeTrainer):
             lambda i: bad if self.rng.random() < self.fail_prob else good,
             target=target,
         )
+
+
+class DivergingRandomTrainer(RandomTrainer):
+    """A RandomTrainer whose epochs also diverge at a seeded rate: then the
+    training or the validation loss is NaN, +inf or -inf. The first
+    validation, the target, stays finite."""
+
+    def __init__(self, rng, fail_prob, diverge_prob, target=1.0, tolerance=0.1):
+        super().__init__(rng, fail_prob, target=target, tolerance=tolerance)
+        self.diverge_prob = diverge_prob
+
+    def _diverged(self, loss):
+        if self.rng.random() < self.diverge_prob:
+            return float(self.rng.choice([math.nan, math.inf, -math.inf]))
+        return loss
+
+    def train_epoch(self, net):
+        return self._diverged(super().train_epoch(net))
+
+    def validate(self, net):
+        first = self.calls == 0
+        loss = super().validate(net)
+        return loss if first else self._diverged(loss)
+
+
+def reference_prune_run(dense, hp, trainer, events=None):
+    """The pruning controller as the `pruning` module docstring states it.
+
+    Prune selection is brute_force_prune's, the cap is the exact floor of
+    pruned_max (as written in decimal) times the prunable weight count, and
+    fixed and gated steps are written as separate loops. Appends each event
+    to `events` as a (kind, epoch, train_loss, val_loss, rate, pruned,
+    reason) tuple, with the same fields as adaptive_prune's trace, and
+    returns (net, events). Raises TrainingDivergedError where fixed-mode
+    fine-tuning diverges; `events` then holds the events up to it.
+    """
+    events = [] if events is None else events
+    net = Network(dense.config, [WeightLayer(l.weights.copy(), l.mask.copy())
+                                 for l in dense.layers])
+    prunable = len(net.layers) - 1  # the readout is never pruned
+    total = sum(l.weights.size for l in net.layers[:prunable])
+    cap = math.floor(Fraction(repr(hp.pruned_max)) * total)
+    fixed = hp.mode == FIXED
+    # the target is the dense validation loss; fixed mode has no gate
+    gate = None if fixed else trainer.validate(net) * (1.0 + hp.tolerance)
+    rate = hp.p_start
+    epoch = 0
+
+    def zeros():
+        return sum(int(np.count_nonzero(l.mask == 0)) for l in net.layers[:prunable])
+
+    def emit(kind, train_loss=None, val_loss=None, reason=""):
+        events.append((kind, epoch, train_loss, val_loss, rate, zeros() / total, reason))
+
+    def fine_tune():
+        nonlocal epoch
+        train_loss = trainer.train_epoch(net)
+        val_loss = trainer.validate(net)
+        epoch += 1
+        emit("epoch", train_loss, val_loss)
+        return math.isfinite(train_loss) and math.isfinite(val_loss), val_loss
+
+    # "The run ends when the rate falls below the minimum or the cumulative
+    # pruned fraction reaches its cap"
+    while rate >= hp.p_min and zeros() < cap:
+        checkpoint = [(l.weights.copy(), l.mask.copy()) for l in net.layers]
+        masks, removed = brute_force_prune(net, rate, hp.scope, max_total_zeros=cap)
+        if not any(removed):
+            emit("terminated", reason="nothing-left-to-prune")
+            return net, events
+        set_masks(net, [np.array(m, dtype=np.uint8) for m in masks])
+        emit("prune-applied")
+        if fixed:
+            # "prunes at the starting rate after every patience-epoch block,
+            # unconditionally"; divergence raises
+            for _ in range(hp.patience):
+                finite, _ = fine_tune()
+                if not finite:
+                    raise TrainingDivergedError("reference: fixed-mode fine-tuning diverged")
+            continue
+        # "fine-tunes, for at least one epoch, until validation loss is back
+        # within tolerance of the target": a diverged epoch is within no gate
+        # and ends the step; more than patience epochs fail it
+        epochs = 0
+        while True:
+            finite, val_loss = fine_tune()
+            epochs += 1
+            if finite and val_loss <= gate:
+                break
+            if not finite or epochs > hp.patience:
+                for i, (w, m) in enumerate(checkpoint):
+                    net.layers[i] = WeightLayer(w, m)
+                if hp.mode == TOLERANCE_ONLY:
+                    emit("rollback")
+                    emit("terminated", reason="patience-exhausted")
+                    return net, events
+                rate = rate / 2.0
+                trainer.reset_optimizer()
+                emit("rollback")
+                break
+    emit("terminated", reason="min-rate" if rate < hp.p_min else "pruned-max")
+    return net, events
 
 
 class TraceInvariantChecker:

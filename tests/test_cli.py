@@ -17,8 +17,9 @@ from spikeprune.cli import (
     load_config,
     main,
 )
+from spikeprune.data import MAGIC as MAGIC_SESSION
 from spikeprune.data import load_session
-from spikeprune.network import Network, NetworkConfig
+from spikeprune.network import LifParams, Network, NetworkConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -41,6 +42,13 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+def session_net(hidden, dt_ms=DEFAULT_CONFIG["synth"]["dt_ms"]):
+    """A fresh net for write_config's 5-channel sessions, its LIF at the
+    session's timestep (tau_factor 5), as pretrain would build it."""
+    lif = LifParams(tau=5 * dt_ms, dt=dt_ms)
+    return Network.from_config(NetworkConfig.snn3(5, hidden=hidden, lif=lif))
 
 
 def wrong_values(default):
@@ -416,7 +424,7 @@ class TestPipelineCommands:
         p, _ = write_config(tmp_path, synth={"dt_ms": dt_ms})
         assert main(["synth", "--config", str(p)]) == EXIT_OK
         dense = tmp_path / "dense.ckpt"
-        save_checkpoint(dense, Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6))))
+        save_checkpoint(dense, session_net((6, 6, 6), dt_ms))
         assert main(["eval", "--config", str(p), "--checkpoint", str(dense)]) == EXIT_OK
         payload = json.loads((tmp_path / "out" / "metrics.json").read_text())
         for rep in payload["energy"].values():
@@ -488,11 +496,35 @@ class TestErrorExits:
         assert main(["eval", "--config", str(p2), "--checkpoint",
                      str(tmp_path / "out" / "dense.ckpt")]) == EXIT_DATA
 
+    def test_timestep_mismatch_is_data_error(self, tmp_path, capsys):
+        # a checkpoint pretrained at dt_ms 4.0 must not run, or report power,
+        # on a session binned at 1.0 ms
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        assert main(["pretrain", "--config", str(p)]) == EXIT_OK
+        p2, _ = write_config(tmp_path, synth={"dt_ms": 1.0}, out_dir=str(tmp_path / "fine"))
+        assert main(["synth", "--config", str(p2)]) == EXIT_OK
+        capsys.readouterr()
+        for command in ("eval", "prune"):
+            assert main([command, "--config", str(p2), "--checkpoint",
+                         str(tmp_path / "out" / "dense.ckpt")]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "4.0" in err and "1.0" in err
+        assert not (tmp_path / "fine").exists()
+
+    def test_zero_channel_session_is_data_error(self, tmp_path, capsys):
+        p, _ = write_config(tmp_path)
+        (tmp_path / "unit.spk").write_bytes(
+            MAGIC_SESSION + struct.pack("<IIQdI", 1, 0, 400, 4.0, 0)
+            + np.zeros((400, 2), dtype="<f8").tobytes())
+        assert main(["pretrain", "--config", str(p)]) == EXIT_DATA
+        assert "channels > 0" in capsys.readouterr().err
+
     def test_truncated_or_padded_checkpoint_is_data_error(self, tmp_path):
         p, _ = write_config(tmp_path)
         assert main(["synth", "--config", str(p)]) == EXIT_OK
         good = tmp_path / "good.ckpt"
-        save_checkpoint(good, Network.from_config(NetworkConfig.snn3(5, hidden=(4, 3, 4))))
+        save_checkpoint(good, session_net((4, 3, 4)))
         blob = good.read_bytes()
         assert main(["eval", "--config", str(p), "--checkpoint", str(good)]) == EXIT_OK
         bad = tmp_path / "bad.ckpt"
@@ -587,7 +619,7 @@ class TestAtomicOutputs:
         p, _ = write_config(tmp_path)
         assert main(["synth", "--config", str(p)]) == EXIT_OK
         dense = tmp_path / "dense.ckpt"
-        save_checkpoint(dense, Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6))))
+        save_checkpoint(dense, session_net((6, 6, 6)))
         closed = []
         real_close = cli.CsvTraceSink.close
 

@@ -87,6 +87,17 @@ class TestFileFormat:
             SpikeSession(spikes=np.zeros((3, 2), dtype=np.uint8),
                          velocity=np.zeros((3, 3)), dt_ms=1.0)
 
+    def test_zero_channels_are_a_dimension_error(self, tmp_path):
+        # a session no decoder can read; T = 0 stays valid (the empty round trip)
+        with pytest.raises(SessionDimensionError, match="channels > 0"):
+            SpikeSession(spikes=np.zeros((400, 0), dtype=np.uint8),
+                         velocity=np.zeros((400, 2)), dt_ms=4.0)
+        p = tmp_path / "z.spk"
+        p.write_bytes(MAGIC + struct.pack("<IIQdI", 1, 0, 400, 4.0, 0)
+                      + np.zeros((400, 2), dtype="<f8").tobytes())
+        with pytest.raises(SessionDimensionError, match="channels > 0"):
+            load_session(p)
+
     @pytest.mark.parametrize("values", [[[0.5, 1.0]], [[1.7, 0.0]], [[256, 0]],
                                         [[np.nan, 1.0]], [[-1, 1]]])
     def test_non_binary_input_is_rejected_before_the_cast(self, values):

@@ -5,6 +5,7 @@ import pytest
 
 from spikeprune.network import Network, NetworkConfig, WeightLayer
 from helpers import (
+    DivergingRandomTrainer,
     FakeTrainer,
     RandomTrainer,
     TraceInvariantChecker,
@@ -12,6 +13,7 @@ from helpers import (
     always_succeed,
     brute_force_prune,
     indy_net,
+    reference_prune_run,
     small_net,
 )
 from spikeprune.pruning import (
@@ -373,6 +375,69 @@ class TestRandomizedInvariants:
             checker.check(total_prunable)
             # reported fraction matches the returned network exactly
             assert trace.events[-1].pruned == prunable_zero_fraction(net)
+
+
+class TestReferenceController:
+    @pytest.mark.parametrize("scope", ["per-layer", "global"])
+    @pytest.mark.parametrize("mode", [FULL_ADAPTIVE, TOLERANCE_ONLY, FIXED])
+    def test_fifty_runs_match_the_reference(self, mode, scope):
+        # every event, the trainer's calls and resets, the final masks and
+        # weights, and the fixed-mode raise agree with the docstring's
+        # controller, on trainers that also diverge at a seeded rate
+        def row(e):
+            return (e.kind, e.epoch, e.train_loss, e.val_loss, e.rate, e.pruned, e.reason)
+
+        def same(a, b):  # NaN equals NaN, and -0.0 is not +0.0
+            return [tuple(map(repr, r)) for r in a] == [tuple(map(repr, r)) for r in b]
+
+        master = np.random.default_rng({FULL_ADAPTIVE: 91, TOLERANCE_ONLY: 92, FIXED: 93}[mode])
+        seen = set()
+        for _ in range(50):
+            seed = int(master.integers(1 << 30))
+            draw = np.random.default_rng(seed)
+            hp = PruneHyperParams(
+                p_start=float(draw.choice([10.0, 25.0, 60.0])),
+                patience=int(draw.integers(0, 5)),
+                tolerance=0.1,
+                p_min=float(draw.choice([0.1, 2.0])),
+                pruned_max=float(draw.choice([0.5, 0.95])),
+                scope=scope,
+                mode=mode,
+            )
+            fail = float(draw.uniform(0.1, 0.9))
+            diverge = float(draw.choice([0.0, 0.05, 0.2]))
+            dense = small_net(seed=seed)
+            runs = []
+            for run in (adaptive_prune, reference_prune_run):
+                trainer = DivergingRandomTrainer(np.random.default_rng(seed), fail, diverge)
+                events = []
+                try:
+                    if run is adaptive_prune:
+                        net, _ = run(dense, None, hp, trainer=trainer,
+                                     trace_sink=lambda e: events.append(row(e)))
+                    else:
+                        net, _ = run(dense, hp, trainer, events)
+                except TrainingDivergedError:
+                    net = None
+                runs.append((net, events, trainer.calls, trainer.resets))
+            (net, got, calls, resets), (ref, want, ref_calls, ref_resets) = runs
+            assert same(got, want)
+            assert (calls, resets) == (ref_calls, ref_resets)
+            assert (net is None) == (ref is None)
+            if net is None:
+                seen.add("raised")
+                continue
+            for layer, ref_layer in zip(net.layers, ref.layers):
+                assert np.array_equal(layer.mask, ref_layer.mask)
+                assert np.array_equal(layer.weights, ref_layer.weights)
+            seen.add(got[-1][-1])
+            seen.update(e[0] for e in got)
+            if any(e[0] == "epoch" and not np.isfinite(e[2:4]).all() for e in got):
+                seen.add("diverged")
+        expected = {FULL_ADAPTIVE: {"min-rate", "pruned-max", "rollback", "diverged"},
+                    TOLERANCE_ONLY: {"patience-exhausted", "pruned-max", "rollback", "diverged"},
+                    FIXED: {"pruned-max", "raised"}}[mode]
+        assert expected <= seen
 
 
 class TestTraceRows:

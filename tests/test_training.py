@@ -31,7 +31,7 @@ from spikeprune.training import (
     train_epoch,
     validate,
 )
-from spikeprune.training import _INDEXED_MAX_DENSITY, _flat_mask, _layer_views
+from spikeprune.training import _layer_views
 
 
 def random_tiny_net(rng, max_width=3, scale=1.5):
@@ -45,8 +45,8 @@ def random_tiny_net(rng, max_width=3, scale=1.5):
 
 class RecordingOptimizer:
     """Stores each step's gradients, per layer of net, and leaves the
-    weights alone. Checks that live indexes the unmasked weights, or is a
-    full slice when they are at least _INDEXED_MAX_DENSITY of all."""
+    weights alone. Checks that live indexes the unmasked weights whenever
+    any weight is masked, and is a full slice for a dense net."""
 
     def __init__(self, net):
         self.layers = net.layers
@@ -54,7 +54,7 @@ class RecordingOptimizer:
 
     def step(self, w, g, live):
         mask = np.concatenate([layer.mask.ravel() for layer in self.layers])
-        if np.count_nonzero(mask) >= _INDEXED_MAX_DENSITY * mask.size:
+        if mask.all():
             assert live == slice(None)
         else:
             assert np.array_equal(live, np.flatnonzero(mask))
@@ -271,10 +271,10 @@ class TestTrainEpoch:
     def test_prune_snapshot_restore_sequence_matches_per_layer_step(self):
         # the controller's life in miniature: one optimizer throughout,
         # pruned between epochs, snapshot, pruned again, trained, then
-        # restored without an optimizer reset and trained again, on both
-        # sides of _INDEXED_MAX_DENSITY. Weights pruned after their moments
-        # moved, and revived by the restore with moments that kept decaying
-        # while masked, keep the bits of the dense per-layer step
+        # restored without an optimizer reset and trained again, lightly
+        # and heavily pruned. Weights pruned after their moments moved, and
+        # revived by the restore with moments that kept decaying while
+        # masked, keep the bits of the dense per-layer step
         rng = np.random.default_rng(7)
         net = scaled_net(NetworkConfig.snn3(6, hidden=(7, 5, 6), seed=7), 2.5)
         ref = Network(net.config, [WeightLayer(l.weights.copy(), l.mask.copy())
@@ -284,10 +284,8 @@ class TestTrainEpoch:
                 for T in (57, 57, 30)]
         tc = TrainConfig(learning_rate=5e-3, batch_length=10)
         opt, ref_opt = AdamOptimizer(tc.learning_rate), PerLayerAdam(tc.learning_rate)
-        live_shares = []
 
         def epoch():
-            live_shares.append(_flat_mask(net).mean())
             assert_same_bits(train_epoch(net, segs, tc, opt),
                              per_layer_train_epoch(ref, segs, tc, ref_opt))
 
@@ -297,18 +295,15 @@ class TestTrainEpoch:
 
         epoch()
         prune(10.0)
-        epoch()  # every weight steps, the masked ones are zeroed after
+        epoch()
         snap, ref_snap = net.snapshot(), ref.snapshot()
         prune(50.0, GLOBAL)
-        epoch()  # only the live weights step
+        epoch()
         net.restore(snap)
         ref.restore(ref_snap)
         epoch()
         prune(50.0)
         epoch()
-        assert [share >= _INDEXED_MAX_DENSITY for share in live_shares] == \
-            [True, True, False, True, False]
-        assert 0 < live_shares[1] < 1
         for layer, ref_layer in zip(net.layers, ref.layers):
             assert np.array_equal(layer.mask, ref_layer.mask)
             assert_same_bits(layer.weights, ref_layer.weights)
@@ -319,8 +314,8 @@ class TestTrainEpoch:
     def test_masked_weights_are_plus_zero_after_every_window(self, sparsity):
         # a dense epoch gives every weight nonzero moments; after a prune
         # those moments keep decaying, but no window may leave a masked
-        # weight off +0.0, whether Adam steps the live weights alone (95%)
-        # or every weight (10%)
+        # weight off +0.0, whether the net is heavily (95%) or lightly (10%)
+        # pruned: Adam steps the live weights alone in both
         split = self.make_split(T=400)
         net = scaled_net(NetworkConfig.snn3(5, hidden=(20, 20, 20), seed=4), 2.0)
         tc = TrainConfig(learning_rate=5e-3, batch_length=10)
@@ -332,7 +327,7 @@ class TestTrainEpoch:
 
         class CheckingAdam:
             def step(self, w, g, live):
-                if windows:  # the previous window's update, zeroed or not
+                if windows:  # the previous window's update
                     for layer, zero in zip(net.layers, masked):
                         assert not layer.weights[zero].any()
                         assert not np.signbit(layer.weights[zero]).any()
@@ -344,14 +339,13 @@ class TestTrainEpoch:
             for layer, zero in zip(net.layers, masked):
                 assert not layer.weights[zero].any()
                 assert not np.signbit(layer.weights[zero]).any()
-        assert windows == [sparsity == 10.0] * len(windows) and len(windows) > 2
+        assert len(windows) > 2 and not any(windows)
         assert [l.n_masked / l.n_weights for l in net.prunable_layers()] == [sparsity / 100] * 3
         assert np.count_nonzero(adam._m[np.concatenate([z.ravel() for z in masked])])
 
     def test_optimizer_gets_the_live_index(self):
-        # RecordingOptimizer checks live: a full slice for a dense net and
-        # a lightly pruned one, the unmasked weights' flat index for a
-        # heavily pruned one
+        # RecordingOptimizer checks live: a full slice for a dense net, the
+        # unmasked weights' flat index for a lightly and a heavily pruned one
         split = self.make_split()
         net = Network.from_config(NetworkConfig.snn3(5, hidden=(6, 6, 6), seed=4))
         tc = TrainConfig(batch_length=10)

@@ -18,9 +18,10 @@ Standard library only and not part of tier-1. CI runs ten of them after
 tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
 one: scan-operands-float32 and backward-decay-one, the training kernel's
 operands; window-input-first-segment, the copy of each segment's rows into
-a training window's input; prune-leaves-weight, after-step-mask-dropped and
+a training window's input; prune-leaves-weight and
 adam-updates-masked-weights, the zeroing of masked weights in pruning and
-training; and count-every-row, eval-stale-tail-rows,
+training; diverged-step-accepted, the controller's rollback of a diverged
+step; and count-every-row, eval-stale-tail-rows,
 eval-membranes-kept-across-segments and eval-short-window-stacked, the eval
 wavefront's counts, zeroed rows, membrane resets and lane schedule. A
 mutant takes about as long as tier-1 up to its first failure (tier-1 is
@@ -44,11 +45,12 @@ PKG = "src/spikeprune/"
 MUTANTS = [
     # the prune controller and its helpers
     ("patience-off-by-one", PKG + "pruning.py",
-     "if fine_tune_epochs > hp.patience:", "if fine_tune_epochs >= hp.patience:"),
+     "range(hp.patience if fixed else hp.patience + 1)",
+     "range(hp.patience if fixed else hp.patience)"),
     ("halving-becomes-thirds", PKG + "pruning.py",
      "rate = rate / 2.0", "rate = rate / 3.0"),
     ("adam-not-reset-on-rollback", PKG + "pruning.py",
-     "rate = rate / 2.0\n                    trainer.reset_optimizer()\n",
+     "rate = rate / 2.0\n                trainer.reset_optimizer()\n",
      "rate = rate / 2.0\n"),
     ("readout-counted-as-prunable", PKG + "pruning.py",
      "layers = net.prunable_layers()\n    total", "layers = net.layers\n    total"),
@@ -59,7 +61,10 @@ MUTANTS = [
     ("zero-budget-without-epsilon", PKG + "pruning.py",
      "pruned_max * total + 1e-6", "pruned_max * total"),
     ("gate-ties-fail", PKG + "pruning.py",
-     "not (current <= gate):", "not (current < gate):"),
+     "if not fixed and current <= gate:", "if not fixed and current < gate:"),
+    ("diverged-step-accepted", PKG + "pruning.py",
+     "epoch {epoch_count}\")\n                break\n",
+     "epoch {epoch_count}\")\n                accepted = True\n                break\n"),
     ("prune-leaves-weight", PKG + "pruning.py",
      "            layer.weights[rows[sel], cols[sel]] = 0.0\n", ""),
     ("tolerance-nan-accepted", PKG + "pruning.py",
@@ -99,8 +104,6 @@ MUTANTS = [
      "x[:, b] = seg.spikes[lo:hi]", "x[:, b] = group[0].spikes[lo:hi]"),
     ("window-labels-first-segment", PKG + "training.py",
      "y[:, b] = seg.velocity[lo:hi]", "y[:, b] = group[0].velocity[lo:hi]"),
-    ("after-step-mask-dropped", PKG + "training.py",
-     "            if remask:\n                np.putmask(w, zero, 0.0)\n", ""),
     ("surrogate-unclipped", PKG + "training.py",
      "    np.maximum(0.0, g, out=g)\n", ""),
     ("synthesis-drive-in-reverse-channel-order", PKG + "data.py",
