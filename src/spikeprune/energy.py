@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+from .training import _require_int
+
 __all__ = ["EnergyParams", "EnergyReport", "energy_per_timestep", "average_power",
            "energy_report"]
 
@@ -57,12 +59,11 @@ def energy_per_timestep(avg_acs: float, n_neurons: int = 0,
     """Energy in pJ for one timestep given the average AC count.
 
     paper-consistent mode charges a single update term; per-neuron mode
-    charges one update per neuron.
+    charges one update per neuron. n_neurons is an integer >= 0, not a bool.
     """
     if not (math.isfinite(avg_acs) and avg_acs >= 0):
         raise ValueError(f"avg_acs must be finite and >= 0, got {avg_acs}")
-    if not (math.isfinite(n_neurons) and n_neurons >= 0):
-        raise ValueError(f"n_neurons must be finite and >= 0, got {n_neurons}")
+    _require_int("n_neurons", n_neurons, 0)
     if params.update_count_mode == PAPER_CONSISTENT:
         updates = 1
     else:

@@ -33,13 +33,15 @@ with the bits of a layer-by-layer step:
   Every op is elementwise, so the bits do not depend on how the layers are
   laid out, nor on whether a live weight is updated alone or in a pass over
   every entry.
-- Two-call reverse scan. A SPIKING hidden layer's membrane gradient is
-  du[t] += c·dk[t] with dk = decay·(1 - s) taken once a window, instead of
-  du[t] += decay·c·(1 - s[t]). Since s is exactly 0 or 1, dk[t] is decay or
-  +0.0, and c·dk[t] has the bits of (decay·c)·(1 - s[t]), the sign of zero
-  included: decay·c cannot overflow (decay <= 1), and a product with +0.0
-  takes the sign of c either way. DIFFERENTIABLE mode keeps the three-term
-  step, its s being a sigmoid.
+- One two-call reverse scan. Every layer's membrane gradient is
+  du[t] += c·dk[t], with a carry factor dk made before the scan: decay for
+  the readout, filled once per workspace (the IEEE product c·decay);
+  decay·(1 - s) for a SPIKING hidden layer, taken once a window, instead of
+  du[t] += decay·c·(1 - s[t]); decay·((1 - s) + (reset_value - u)·s(1 - s))
+  for a DIFFERENTIABLE one, its reset differentiated too. Since a spike s
+  is exactly 0 or 1, dk[t] is decay or +0.0, and c·dk[t] has the bits of
+  (decay·c)·(1 - s[t]), the sign of zero included: decay·c cannot overflow
+  (decay <= 1), and a product with +0.0 takes the sign of c either way.
 - A workspace per length group. train_epoch makes one _TrainWorkspace per
   group of equal-length segments, sized [batch_length x B x H] per layer:
   the window's input and labels, the membranes, fired flags and float
@@ -56,10 +58,10 @@ with the bits of a layer-by-layer step:
   code. A SPIKING window's forward and backward passes allocate no array,
   and the same operations on the same values give the same bits.
 - Scalar operands as 0-d arrays. numpy converts a Python float operand
-  into an array on every call, so the forward scans (_lif_scan) and the
-  reverse scans take the threshold, decay and reset as float64 0-d arrays,
-  made once per workspace: the same IEEE operations on the same values,
-  without a conversion at every step or every scan.
+  into an array on every call, so the forward scans (_lif_scan) take the
+  threshold, decay and reset as float64 0-d arrays, made once per
+  workspace, and the reverse scans take dk: the same IEEE operations on the
+  same values, without a conversion at every step.
 """
 
 from __future__ import annotations
@@ -139,10 +141,11 @@ class _TrainWorkspace(_Workspace):
     velocity rows, as it copies their spikes into x. Per layer:
     du [Tw x B x H], first the error arriving from the layer above, then the
     membrane gradient, with its per-step views in reverse order and its
-    [Tw·B x H] row view for the GEMMs; per hidden layer dk = decay·(1 - s),
-    first the surrogate; the readout's error, and one [B x H] carry product
-    per layer. train_epoch builds one per length group, compute_gradients
-    one for its window.
+    [Tw·B x H] row view for the GEMMs; the reverse scan's carry factor dk,
+    also with reversed per-step views, the readout's filled with decay here
+    and a hidden layer's first holding the surrogate; the readout's error,
+    and one [B x H] carry product per layer. train_epoch builds one per
+    length group, compute_gradients one for its window.
     """
 
     def __init__(self, config: NetworkConfig, Tw: int, B: int):
@@ -150,7 +153,8 @@ class _TrainWorkspace(_Workspace):
         self.y = np.empty((Tw, B, config.layer_dims[-1]))
         self.err = np.empty((Tw, B, config.layer_dims[-1]))
         self.du = [np.empty(u.shape) for u in self.u]
-        self.dk = [np.empty(u.shape) for u in self.u[:-1]]
+        self.dk = [np.empty(u.shape) for u in self.u]
+        self.dk[-1][...] = self.decay
         self.du_rows = [du.reshape(Tw * B, du.shape[2]) for du in self.du]
         self.du_r = [list(du)[::-1] for du in self.du]
         self.dk_r = [list(dk)[::-1] for dk in self.dk]
@@ -167,18 +171,17 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
     are (zero under the masks); grads[i] gets layer i's gradient, unmasked.
     Returns the window's summed squared error. The GEMMs read and write
     ws's row views.
-    Layer-major, from the readout down: each layer runs a reverse
-    elementwise scan over the window, and one GEMM carries its membrane
-    gradients to the layer below. A SPIKING hidden layer's scan is
-    c = x[t] + c·dk[t], with x the error arriving from above times the
-    surrogate and dk = decay·(1 - s) taken once per window (module
-    docstring).
+    Layer-major, from the readout down, one loop: each layer takes the error
+    arriving from above times its local derivative into du and its carry
+    factor into dk, runs the reverse scan c = du[t] + c·dk[t] over the
+    window, and one GEMM carries its membrane gradients to the layer below.
+    The readout's dk is decay throughout, and a hidden layer's is taken once
+    per window (module docstring).
     """
     n, B = truth.shape[0], truth.shape[1]
     rows = n * B
     n_layers = net.config.n_layers
     p = net.config.lif
-    # 0-d, so the readout's reverse scan does not convert a float every step
     decay = ws.decay
     add, multiply = np.add, np.multiply
     pred = acts[-1]
@@ -190,39 +193,24 @@ def _backward_window(net: Network, ws: _TrainWorkspace, acts, membranes, truth: 
     multiply(err, 2.0 / pred.size, out=du)
     skip = ws.Tw - n  # the reversed views of the window's n steps
     for i in range(n_layers - 1, -1, -1):
-        u = membranes[i]
         du = ws.du[i][:n]  # holds the error arriving from above
-        du_r = ws.du_r[i][skip:]
-        c = ws.zero[i]
-        carry = ws.carry[i]
-        if i == n_layers - 1:
-            # readout: the membrane feeds the loss directly and the next step
-            for du_t in du_r:
-                multiply(c, decay, carry)
-                add(du_t, carry, du_t)
-                c = du_t
-        elif mode == SPIKING:
-            s = acts[i + 1]
-            dk = ws.dk[i][:n]
-            du *= surrogate_spike_grad(u, p, out=dk)
-            np.subtract(1.0, s, out=dk)
+        if i < n_layers - 1:
+            u, s, dk = membranes[i], acts[i + 1], ws.dk[i][:n]
+            if mode == SPIKING:
+                du *= surrogate_spike_grad(u, p, out=dk)
+                np.subtract(1.0, s, out=dk)
+            else:
+                # reset path differentiated too: v = u(1-s) + r*s
+                g = s * (1.0 - s)
+                du *= g
+                np.multiply(p.reset_value - u, g, out=dk)
+                dk += 1.0 - s
             dk *= decay
-            for du_t, dk_t in zip(du_r, ws.dk_r[i][skip:]):
-                multiply(c, dk_t, carry)
-                add(du_t, carry, du_t)
-                c = du_t
-        else:
-            s = acts[i + 1]
-            g = s * (1.0 - s)
-            du *= g
-            keep = 1.0 - s
-            # reset path differentiated too: v = u(1-s) + r*s
-            reset_gap = p.reset_value - u
-            for du_t, kt, rt, gt in zip(du_r, keep[::-1], reset_gap[::-1], g[::-1]):
-                dc = decay * c
-                du_t += dc * kt
-                du_t += dc * rt * gt
-                c = du_t
+        c, carry = ws.zero[i], ws.carry[i]
+        for du_t, dk_t in zip(ws.du_r[i][skip:], ws.dk_r[i][skip:]):
+            multiply(c, dk_t, carry)
+            add(du_t, carry, du_t)
+            c = du_t
         du = ws.du_rows[i][:rows]
         if i > 0:
             np.matmul(du, net.layers[i].weights, out=ws.du_rows[i - 1][:rows])

@@ -151,8 +151,9 @@ def scalar_surrogate_grads(net, spikes, velocity, state=None):
     return loss / n, grads
 
 
-def finite_difference_grads(net, x, y, h=1e-6):
-    """Central-difference oracle over the differentiable-mode loss."""
+def finite_difference_grads(net, x, y, h=1e-6, state=None):
+    """Central-difference oracle over the differentiable-mode loss of one
+    window from state (compute_gradients' default, zeros, when None)."""
     grads = []
     for layer in net.layers:
         g = np.zeros_like(layer.weights)
@@ -161,9 +162,9 @@ def finite_difference_grads(net, x, y, h=1e-6):
             idx = it.multi_index
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
+            lp, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE, state=state)
             layer.weights[idx] = orig - h
-            lm, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
+            lm, _, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE, state=state)
             layer.weights[idx] = orig
             g[idx] = (lp - lm) / (2 * h)
         grads.append(g)

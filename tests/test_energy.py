@@ -36,10 +36,20 @@ class TestModes:
         params = EnergyParams(update_count_mode=PER_NEURON)
         e = energy_per_timestep(10.0, n_neurons=152, params=params)
         assert e == pytest.approx(10.0 * 12.7 + 152 * 14.6)
+        assert energy_per_timestep(10.0, n_neurons=np.int64(152), params=params) == e
 
     def test_paper_consistent_single_update(self):
         e0 = energy_per_timestep(0.0, n_neurons=999)
         assert e0 == pytest.approx(14.6)
+
+    @pytest.mark.parametrize("mode", [PAPER_CONSISTENT, PER_NEURON])
+    @pytest.mark.parametrize("n_neurons", [2.5, 3.0, True, False, -1],
+                             ids=["fraction", "integral-float", "true", "false", "negative"])
+    def test_neuron_count_must_be_an_integer(self, mode, n_neurons):
+        params = EnergyParams(update_count_mode=mode)
+        for call in (energy_per_timestep, energy_report):
+            with pytest.raises(ValueError, match="n_neurons"):
+                call(1.0, n_neurons, params)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -312,6 +312,20 @@ class TestWindowing:
             np.testing.assert_allclose(acts[-1][:, b], np.array(ref[-1]),
                                        rtol=1e-12, atol=0)
 
+    def test_differentiable_windows_chain_through_state(self):
+        # the returned state is the post-reset membrane u(1 - s) + reset·s
+        rng = np.random.default_rng(34)
+        cfg = NetworkConfig.snn3(4, hidden=(5, 4, 3), seed=34,
+                                 lif=LifParams(tau=4.0, threshold=0.8, reset_value=0.3))
+        net = scaled_net(cfg, 2.0)
+        x = (rng.random((11, 2, 4)) < 0.4).astype(np.float64)
+        state = [rng.normal(size=(2, d)) for d in net.config.layer_dims[1:]]
+        whole, _, _ = forward_window(net, x, state, network.DIFFERENTIABLE)
+        first, _, carried = forward_window(net, x[:6], state, network.DIFFERENTIABLE)
+        second, _, _ = forward_window(net, x[6:], carried, network.DIFFERENTIABLE)
+        np.testing.assert_allclose(np.concatenate([first[-1], second[-1]]), whole[-1],
+                                   rtol=1e-12, atol=0)
+
 
 def windowed_forward(net, x, Tw):
     """x [T x input_dim] through B=1 forward_window windows of Tw steps, the

@@ -34,10 +34,10 @@ from spikeprune.training import (
 from spikeprune.training import _layer_views
 
 
-def random_tiny_net(rng, max_width=3, scale=1.5):
+def random_tiny_net(rng, max_width=3, scale=1.5, **lif_fields):
     dims_h = tuple(int(rng.integers(1, max_width + 1)) for _ in range(3))
     cin = int(rng.integers(1, max_width + 1))
-    lif = LifParams(tau=float(rng.uniform(1.0, 8.0)), dt=1.0)
+    lif = LifParams(tau=float(rng.uniform(1.0, 8.0)), dt=1.0, **lif_fields)
     cfg = NetworkConfig.snn3(cin, hidden=dims_h, lif=lif,
                              seed=int(rng.integers(1 << 30)))
     return scaled_net(cfg, scale)
@@ -99,6 +99,20 @@ class TestGradientCheck:
             y = rng.normal(size=(T, 2))
             _, analytic, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE)
             numeric = finite_difference_grads(net, x, y)
+            assert_grads_close(analytic, numeric)
+
+    def test_matches_finite_differences_at_a_reset_value_from_a_carried_state(self):
+        # the reset path's (reset_value - u) term and the forward's reset_value·s
+        # vanish at reset_value 0
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            net = random_tiny_net(rng, threshold=0.8, reset_value=0.3)
+            T = int(rng.integers(2, 6))
+            x = (rng.random((T, net.input_dim)) < 0.5).astype(float)
+            y = rng.normal(size=(T, 2))
+            state = [rng.normal(size=d) for d in net.config.layer_dims[1:]]
+            _, analytic, _ = compute_gradients(net, x, y, mode=DIFFERENTIABLE, state=state)
+            numeric = finite_difference_grads(net, x, y, state=state)
             assert_grads_close(analytic, numeric)
 
     @pytest.mark.parametrize("carried", [False, True], ids=["zero-state", "carried-state"])

@@ -14,19 +14,19 @@ list has to follow the code (tests/test_mutants.py checks that in tier-1). A
 mutant that survives needs a test that kills it, or a note below saying why
 it is equivalent.
 
-Standard library only and not part of tier-1. CI runs ten of them after
-tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops killing
-one: scan-operands-float32 and backward-decay-one, the training kernel's
-operands; window-input-first-segment, the copy of each segment's rows into
-a training window's input; prune-leaves-weight and
+Standard library only and not part of tier-1. CI runs eleven of them
+after tier-1 (.github/workflows/tier1.yml), so CI fails if tier-1 stops
+killing one: scan-operands-float32, backward-decay-one and
+readout-gradient-undecayed, the training kernel's operands and the
+readout's carry factor; window-input-first-segment, the copy of each
+segment's rows into a training window's input; prune-leaves-weight and
 adam-updates-masked-weights, the zeroing of masked weights in pruning and
 training; diverged-step-accepted, the controller's rollback of a diverged
 step; and count-every-row, eval-stale-tail-rows,
 eval-membranes-kept-across-segments and eval-short-window-stacked, the eval
 wavefront's counts, zeroed rows, membrane resets and lane schedule. A
 mutant takes about as long as tier-1 up to its first failure (tier-1 is
-about 17 s on 2 cores; those ten, with the unmutated run, about 130 s, and
-254 s on a slower host where tier-1 took 48 s).
+about 30 s on 2 cores; those eleven, with the unmutated run, about 215 s).
 """
 
 import os
@@ -88,6 +88,10 @@ MUTANTS = [
      "if not lo:\n                    d[b, cols] = 0.0", "if lo < 0:\n                    d[b, cols] = 0.0"),
     ("eval-short-window-stacked", PKG + "network.py",
      "len(run) == B and all(n == Tw for _, (_, _, n) in run)", "len(run) == B"),
+    ("differentiable-forward-reset-dropped", PKG + "network.py",
+     "ut * (1.0 - s) + p.reset_value * s, ws.decay", "ut * (1.0 - s), ws.decay"),
+    ("differentiable-final-state-pre-reset", PKG + "network.py",
+     "else u[-1] * (1.0 - s[-1]) + p.reset_value * s[-1]", "else u[-1]"),
     ("r2-mean-over-the-wrong-axis", PKG + "metrics.py",
      "truth.mean(axis=1, keepdims=True)", "truth.mean(axis=0, keepdims=True)"),
     ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
@@ -100,6 +104,10 @@ MUTANTS = [
      "w -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + _EPS)"),
     ("backward-decay-one", PKG + "training.py",
      "decay = ws.decay", "decay = np.asarray(1.0, dtype=np.float64)"),
+    ("readout-gradient-undecayed", PKG + "training.py",
+     "self.dk[-1][...] = self.decay", "self.dk[-1][...] = 1.0"),
+    ("differentiable-backward-reset-dropped", PKG + "training.py",
+     "np.multiply(p.reset_value - u, g, out=dk)", "np.multiply(-u, g, out=dk)"),
     ("window-input-first-segment", PKG + "training.py",
      "x[:, b] = seg.spikes[lo:hi]", "x[:, b] = group[0].spikes[lo:hi]"),
     ("window-labels-first-segment", PKG + "training.py",
