@@ -95,8 +95,11 @@ def _all(values, kind) -> bool:
 def _parse_header(raw: bytes, path) -> tuple[dict, NetworkConfig]:
     try:
         header = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        canonical = _header_blob(header) == raw
     except (UnicodeDecodeError, ValueError) as e:
         raise CheckpointError(f"checkpoint header is not UTF-8 JSON in {path}: {e}") from e
+    except RecursionError as e:
+        raise CheckpointError(f"checkpoint header nests too deeply to parse in {path}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint header is not a JSON object in {path}")
     version = header.get("format_version")
@@ -107,7 +110,7 @@ def _parse_header(raw: bytes, path) -> tuple[dict, NetworkConfig]:
     if set(header) != _HEADER_KEYS:
         raise CheckpointError(
             f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)} in {path}")
-    if _header_blob(header) != raw:
+    if not canonical:
         raise CheckpointError(f"checkpoint header is not in canonical form in {path}")
     lif = header["lif"]
     if not (_all(header["layer_dims"], int) and _all([header["seed"]], int)

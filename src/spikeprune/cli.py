@@ -16,9 +16,10 @@ command's --mode and --scope flags are merged into the config as
 prune.mode and prune.scope before its digest is taken.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
-A config that cannot be read, is not UTF-8 JSON, or has a key, a type or a
-non-finite number not allowed by DEFAULT_CONFIG is a config error; any
-other OSError is a data error.
+A config that cannot be read, is not UTF-8 JSON, nests too deeply to parse,
+repeats a key within an object, or has a key, a type or a non-finite number
+not allowed by DEFAULT_CONFIG is a config error; any other OSError is a
+data error.
 
 Sessions, checkpoints and eval reports are written to a temp file and then
 moved into place, so a failed write leaves no partial output; the CSV traces
@@ -44,7 +45,7 @@ from ._files import atomic_write
 from .energy import PAPER_CONSISTENT, PER_NEURON, EnergyParams, energy_report
 from .metrics import DegenerateTruthError, evaluate_segments
 from .network import LifParams, NetworkConfig
-from .pruning import TRACE_COLUMNS, PruneHyperParams, TraceEvent, adaptive_prune
+from .pruning import TRACE_COLUMNS, PruneHyperParams, PruneTrace, adaptive_prune
 from .training import TrainConfig, TrainingDivergedError, pretrain
 
 EXIT_OK = 0
@@ -121,16 +122,28 @@ def _check_schema(value, schema, path: str) -> None:
             raise ConfigError(f"{path} must be {name}, got {value!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: a repeated key would silently drop a value."""
+    seen = set()
+    for k, _ in pairs:
+        if k in seen:
+            raise ConfigError(f"config key {k!r} is set twice in one object")
+        seen.add(k)
+    return dict(pairs)
+
+
 def load_config(path) -> dict:
     """Read a config document, check it against the schema and merge it
     over DEFAULT_CONFIG; raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            user = json.load(f)
+            user = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError("config nests too deeply to parse") from e
     _check_schema(user, _SCHEMA, "")
     cfg = _merge(DEFAULT_CONFIG, user)
     if "seed" not in user:
@@ -218,9 +231,10 @@ def cmd_pretrain(cfg: dict, out_dir: Path) -> int:
     tc = TrainConfig(**cfg["train"])
     out_dir.mkdir(parents=True, exist_ok=True)
     sink = CsvTraceSink(out_dir / "pretrain_trace.csv", digest)
+    trace = PruneTrace(sink)
 
     def log(epoch, train_loss, val_loss):
-        sink(TraceEvent(epoch, "epoch", epoch + 1, train_loss, val_loss, None, 0.0))
+        trace.emit("epoch", epoch + 1, train_loss=train_loss, val_loss=val_loss, pruned=0.0)
 
     ckpt_path = out_dir / "dense.ckpt"
     try:

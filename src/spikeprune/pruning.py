@@ -128,34 +128,21 @@ class TraceEvent:
 
 
 class PruneTrace:
-    """Ordered event log of one controller run, streamable to a CSV sink."""
+    """Ordered event log of one run, streamable to a CSV sink. emit builds
+    every TraceEvent, numbered by its place in the log: the controller's
+    four kinds, and the CLI's pretrain epochs."""
 
     def __init__(self, sink=None):
         self.events: list[TraceEvent] = []
         self._sink = sink
 
-    def _emit(self, kind, epoch, train_loss=None, val_loss=None, rate=None,
-              pruned=None, reason=""):
+    def emit(self, kind, epoch, *, train_loss=None, val_loss=None, rate=None,
+             pruned=None, reason=""):
         ev = TraceEvent(len(self.events), kind, epoch, train_loss, val_loss,
                         rate, pruned, reason)
         self.events.append(ev)
         if self._sink is not None:
             self._sink(ev)
-        return ev
-
-    def prune_applied(self, epoch, rate, pruned):
-        return self._emit("prune-applied", epoch, rate=rate, pruned=pruned)
-
-    def epoch(self, epoch, train_loss, val_loss, rate, pruned):
-        return self._emit("epoch", epoch, train_loss=train_loss,
-                          val_loss=val_loss, rate=rate, pruned=pruned)
-
-    def rollback(self, epoch, restored_pruned, new_rate):
-        return self._emit("rollback", epoch, rate=new_rate, pruned=restored_pruned)
-
-    def terminated(self, epoch, reason, rate, pruned):
-        return self._emit("terminated", epoch, rate=rate, pruned=pruned,
-                          reason=reason)
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -320,7 +307,7 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
             reason = "nothing-left-to-prune"
             break
         pruned = prunable_zero_fraction(net)
-        trace.prune_applied(epoch_count, rate, pruned)
+        trace.emit("prune-applied", epoch_count, rate=rate, pruned=pruned)
 
         # a gated step fine-tunes at least one epoch and stops at the first
         # loss within the gate; NaN is within no gate, an infinite one included
@@ -329,7 +316,8 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
             train_loss = trainer.train_epoch(net)
             current = trainer.validate(net)
             epoch_count += 1
-            trace.epoch(epoch_count, train_loss, current, rate, pruned)
+            trace.emit("epoch", epoch_count, train_loss=train_loss, val_loss=current,
+                       rate=rate, pruned=pruned)
             if not np.isfinite(train_loss) or not np.isfinite(current):
                 if fixed:
                     raise TrainingDivergedError(
@@ -346,13 +334,13 @@ def adaptive_prune(dense_net: Network, datasets: dict | None,
             else:
                 rate = rate / 2.0
                 trainer.reset_optimizer()
-            trace.rollback(epoch_count, pruned, rate)
+            trace.emit("rollback", epoch_count, rate=rate, pruned=pruned)
             if reason:
                 break
 
     if not reason:
         reason = "min-rate" if rate < hp.p_min else "pruned-max"
-    trace.terminated(epoch_count, reason, rate, pruned)
+    trace.emit("terminated", epoch_count, rate=rate, pruned=pruned, reason=reason)
     return net, trace
 
 

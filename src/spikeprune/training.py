@@ -257,11 +257,10 @@ def compute_gradients(net: Network, spikes: np.ndarray, velocity: np.ndarray,
     ws.x[:, 0] = x
     ws.y[:, 0] = y
     acts, membranes, final_state = forward_window(net, ws.x, batched_state, mode, ws=ws)
-    loss = mse_loss(acts[-1][:, 0, :], ws.y[:, 0])
     mask = _flat_mask(net)
     g = np.empty_like(mask)
     grads = _layer_views(g, net.layers)
-    _backward_window(net, ws, acts, membranes, ws.y, mode, grads)
+    loss = _backward_window(net, ws, acts, membranes, ws.y, mode, grads) / acts[-1].size
     g *= mask
     return loss, grads, [s[0] for s in final_state]
 

@@ -241,6 +241,7 @@ class TestStrictBoundary:
             h = dict(header, **changes)
             return with_header(json.dumps(h, sort_keys=True, separators=(",", ":")).encode())
 
+        canonical = blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen]
         extra = dict(header, extra=1)
         missing = {k: v for k, v in header.items() if k != "seed"}
         lif_missing = {k: v for k, v in header["lif"].items() if k != "dt"}
@@ -249,6 +250,10 @@ class TestStrictBoundary:
             with_header(b"[1, 2]"),
             with_header(b"{\"format_version\""),
             with_header(json.dumps(header).encode()),  # not canonical
+            # a repeated key, in order: json keeps one, so the re-dump differs
+            with_header(canonical[:-1] + b',"seed":%d}' % header["seed"]),
+            # a float past float64 parses as inf, which the re-dump refuses
+            with_header(canonical.replace(b'"target_loss":0.25', b'"target_loss":1e999')),
             with_header(json.dumps(extra, sort_keys=True, separators=(",", ":")).encode()),
             with_header(json.dumps(missing, sort_keys=True, separators=(",", ":")).encode()),
             edited(seed=True),

@@ -165,6 +165,29 @@ class TestConfig:
         assert err.startswith(f"config error: {section}.{key} must be a finite number")
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"seed": 1, "seed": 2, "synth": {"timesteps": 400, "channels": 4}, '
+         '"synth": {"timesteps": 300}, "data": {"session": %s}}', "seed"),
+        ('{"seed": 1, "prune": {"p_start": 10.0, "p_start": 20.0}, '
+         '"data": {"session": %s}}', "p_start"),
+    ], ids=["top-level", "prune.p_start"])
+    def test_repeated_key_exits_2_and_writes_nothing(self, tmp_path, capsys, doc, key):
+        # json keeps the last value of a repeated key: the first would be
+        # dropped without a word
+        p = tmp_path / "c.json"
+        p.write_text(doc % json.dumps(str(tmp_path / "s.spk")))
+        assert main(["synth", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: config key '{key}' is set twice")
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["c.json"]
+
+    def test_deeply_nested_config_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        p, _ = write_config(tmp_path, network="@")
+        p.write_text(p.read_text().replace('"@"', "[" * 100_000 + "]" * 100_000))
+        assert main(["synth", "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config nests too deeply")
+        assert sorted(x.name for x in tmp_path.iterdir()) == ["config.json"]
+
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -550,6 +573,24 @@ class TestErrorExits:
         for command in ("eval", "prune"):
             assert main([command, "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
             assert f"{key} does not fit a float64" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_deeply_nested_checkpoint_meta_is_data_error(self, tmp_path, capsys):
+        # the header parses, and is re-dumped to check its canonical form,
+        # in recursive code: neither may end eval or prune with a traceback
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        ckpt = tmp_path / "deep.ckpt"
+        save_checkpoint(ckpt, session_net((4, 3, 4)), meta={"x": "@"})
+        blob = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+        raw = blob[len(MAGIC) + 4:len(MAGIC) + 4 + hlen].replace(
+            b'"@"', b"[" * 100_000 + b"]" * 100_000)
+        ckpt.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + blob[len(MAGIC) + 4 + hlen:])
+        before = sorted(tmp_path.rglob("*"))
+        for command in ("eval", "prune"):
+            assert main([command, "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
+            assert "nests too deeply" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
 
