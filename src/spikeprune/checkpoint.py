@@ -5,21 +5,21 @@ JSON header, then for each layer its weights as row-major little-endian
 float64 followed by its mask as one byte per entry. The header is a
 canonical JSON object with exactly the keys format_version ("2"),
 layer_dims, lif (the one LIF parameter set of every layer), seed and meta
-(free-form metadata). Which layers spike and which are prunable follows from
-layer_dims: all but the readout. Files of format "1", which stored those
-facts per layer, are rejected. Weights and masks round-trip bit-exactly;
-writing the same network twice produces identical bytes, and a write that
-fails leaves no partial file.
+(free-form metadata), under the JSON rules of README's CLI section. Which
+layers spike and which are prunable follows from layer_dims: all but the
+readout. Files of format "1", which stored those facts per layer, are
+rejected. Weights and masks round-trip bit-exactly; writing the same network
+twice produces identical bytes, and a write that fails leaves no partial
+file.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 
 import numpy as np
 
-from ._files import atomic_write
+from ._files import atomic_write, check_schema, dump_json, parse_json
 from .network import LifParams, Network, NetworkConfig, WeightLayer
 
 __all__ = ["CheckpointError", "CheckpointVersionError", "save_checkpoint",
@@ -37,15 +37,10 @@ class CheckpointVersionError(CheckpointError):
     pass
 
 
-_HEADER_KEYS = {"format_version", "layer_dims", "lif", "seed", "meta"}
 _LIF_KEYS = {"tau", "threshold", "reset_value", "dt"}
-
-
-def _header_blob(header: dict) -> bytes:
-    # a non-finite float (a tau that overflowed) would be written as a bare
-    # Infinity or NaN, which load_checkpoint rejects: refuse before writing
-    return json.dumps(header, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
+# the header's typed keys; meta need only be an object
+_HEADER_SCHEMA = {"layer_dims": [0], "lif": dict.fromkeys(_LIF_KEYS, 0.0), "seed": 0}
+_HEADER_KEYS = {*_HEADER_SCHEMA, "format_version", "meta"}
 
 
 def _check_layer(i: int, w: np.ndarray, m: np.ndarray, error: type, where: str) -> None:
@@ -60,8 +55,9 @@ def _check_layer(i: int, w: np.ndarray, m: np.ndarray, error: type, where: str) 
 
 
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
-    """Write net and meta to path, atomically; raises ValueError, before
-    opening the file, for a network that load_checkpoint would reject."""
+    """Write net and meta to path, atomically; raises ValueError (a
+    CheckpointError for the header), before opening the file, for a network
+    or meta that load_checkpoint would reject."""
     p = net.config.lif
     header = {
         "format_version": FORMAT_VERSION,
@@ -71,7 +67,8 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
         "seed": net.config.seed,
         "meta": meta or {},
     }
-    blob = _header_blob(header)
+    blob = dump_json(header, CheckpointError, f"checkpoint {path} header").encode("utf-8")
+    _parse_header(blob, path)
     payload = []
     for i, layer in enumerate(net.layers):
         w, m = layer.weights.astype("<f8"), layer.mask.astype(np.uint8)
@@ -82,46 +79,29 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
             f.write(part)
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not a finite number")
-
-
-def _all(values, kind) -> bool:
-    # bool is an int subclass: a flag must not pass as a number or vice versa
-    return isinstance(values, list) and all(
-        isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values)
-
-
 def _parse_header(raw: bytes, path) -> tuple[dict, NetworkConfig]:
-    try:
-        header = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
-        canonical = _header_blob(header) == raw
-    except (UnicodeDecodeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint header is not UTF-8 JSON in {path}: {e}") from e
-    except RecursionError as e:
-        raise CheckpointError(f"checkpoint header nests too deeply to parse in {path}") from e
+    what = f"checkpoint {path} header"
+    header = parse_json(raw, CheckpointError, what)
     if not isinstance(header, dict):
-        raise CheckpointError(f"checkpoint header is not a JSON object in {path}")
+        raise CheckpointError(f"{what} is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint format version {version!r} in {path}, expected {FORMAT_VERSION!r}"
-        )
+        raise CheckpointVersionError(f"{what} has format version {version!r}, "
+                                     f"expected {FORMAT_VERSION!r}")
     if set(header) != _HEADER_KEYS:
-        raise CheckpointError(
-            f"checkpoint header needs exactly the keys {sorted(_HEADER_KEYS)} in {path}")
-    if not canonical:
-        raise CheckpointError(f"checkpoint header is not in canonical form in {path}")
+        raise CheckpointError(f"{what} needs exactly the keys {sorted(_HEADER_KEYS)}")
+    # the finite-only re-encode also refuses a NaN or a 1e999 (parsed as inf)
+    if dump_json(header, CheckpointError, what).encode("utf-8") != raw:
+        raise CheckpointError(f"{what} is not in canonical form")
+    check_schema({k: header[k] for k in _HEADER_SCHEMA}, _HEADER_SCHEMA, what, CheckpointError)
     lif = header["lif"]
-    if not (_all(header["layer_dims"], int) and _all([header["seed"]], int)
-            and isinstance(header["meta"], dict) and isinstance(lif, dict)
-            and set(lif) == _LIF_KEYS and _all(list(lif.values()), (int, float))):
-        raise CheckpointError(f"checkpoint header has a field of the wrong type in {path}")
+    if set(lif) != _LIF_KEYS or not isinstance(header["meta"], dict):
+        raise CheckpointError(f"{what} needs the lif keys {sorted(_LIF_KEYS)} and an object as meta")
     try:
         config = NetworkConfig(layer_dims=tuple(header["layer_dims"]),
                                lif=LifParams(**lif), seed=header["seed"])
     except ValueError as e:
-        raise CheckpointError(f"checkpoint header describes no valid network in {path}: {e}") from e
+        raise CheckpointError(f"{what} describes no valid network: {e}") from e
     return header, config
 
 

@@ -16,10 +16,9 @@ command's --mode and --scope flags are merged into the config as
 prune.mode and prune.scope before its digest is taken.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 training divergence.
-A config that cannot be read, is not UTF-8 JSON, nests too deeply to parse,
-repeats a key within an object, or has a key, a type or a non-finite number
-not allowed by DEFAULT_CONFIG is a config error; any other OSError is a
-data error.
+README's CLI section says which failure exits with which code, and states
+the JSON rules (_files) that configs, checkpoint headers and metrics.json
+follow.
 
 Sessions, checkpoints and eval reports are written to a temp file and then
 moved into place, so a failed write leaves no partial output; the CSV traces
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -41,7 +39,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import data as dataio
-from ._files import atomic_write
+from ._files import atomic_write, check_schema, dump_json, parse_json
 from .energy import PAPER_CONSISTENT, PER_NEURON, EnergyParams, energy_report
 from .metrics import DegenerateTruthError, evaluate_segments
 from .network import LifParams, NetworkConfig
@@ -92,59 +90,15 @@ _SCHEMA = _merge(DEFAULT_CONFIG, {"finetune": {
     k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "max_epochs"}})
 
 
-def _check_schema(value, schema, path: str) -> None:
-    """Raise ConfigError naming the path of the first key or type not in schema.
-
-    An int is needed where the schema has an int, a finite int or float
-    where it has a float, and a bool is never a number.
-    """
-    if isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path or 'config root'} must be a JSON object")
-        for k, v in value.items():
-            key = f"{path}.{k}" if path else k
-            if k not in schema:
-                raise ConfigError(f"unknown config key {key}")
-            _check_schema(v, schema[k], key)
-    elif isinstance(schema, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
-        for i, v in enumerate(value):
-            _check_schema(v, schema[0], f"{path}[{i}]")
-    else:
-        number = isinstance(schema, float)
-        kind = (int, float) if number else type(schema)
-        # NaN fails every comparison, and an int too large for a float
-        # compares exactly, so this also rejects NaN, +-Infinity and 1e999
-        if isinstance(value, bool) or not isinstance(value, kind) or \
-                (number and not abs(value) <= sys.float_info.max):
-            name = "a finite number" if number else f"of type {type(schema).__name__}"
-            raise ConfigError(f"{path} must be {name}, got {value!r}")
-
-
-def _unique_keys(pairs) -> dict:
-    """json's object_pairs_hook: a repeated key would silently drop a value."""
-    seen = set()
-    for k, _ in pairs:
-        if k in seen:
-            raise ConfigError(f"config key {k!r} is set twice in one object")
-        seen.add(k)
-    return dict(pairs)
-
-
 def load_config(path) -> dict:
     """Read a config document, check it against the schema and merge it
     over DEFAULT_CONFIG; raises ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            user = json.load(f, object_pairs_hook=_unique_keys)
+        raw = Path(path).read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
-    except RecursionError as e:
-        raise ConfigError("config nests too deeply to parse") from e
-    _check_schema(user, _SCHEMA, "")
+    user = parse_json(raw, ConfigError, "config")
+    check_schema(user, _SCHEMA, "", ConfigError)
     cfg = _merge(DEFAULT_CONFIG, user)
     if "seed" not in user:
         raise ConfigError("config must set an explicit seed")
@@ -152,8 +106,7 @@ def load_config(path) -> dict:
 
 
 def config_digest(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(dump_json(cfg, ConfigError, "config").encode("utf-8")).hexdigest()
 
 
 def _network_config(cfg: dict, channels: int, dt_ms: float) -> NetworkConfig:
@@ -282,6 +235,9 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
     net, meta = ckpt.load_checkpoint(checkpoint_path)
     session, split = _load_split(cfg, net)
     report = evaluate_segments(net, split["test"])
+    metrics = report.as_dict()  # finite weights can still overflow the prediction
+    check_schema(metrics, dict.fromkeys(metrics, 0.0), f"checkpoint {checkpoint_path} metrics",
+                 ckpt.CheckpointError)
     n_neurons = sum(net.config.layer_dims[1:])
     energies = {}
     for mode in (PAPER_CONSISTENT, PER_NEURON):
@@ -292,15 +248,15 @@ def cmd_eval(cfg: dict, out_dir: Path, checkpoint_path) -> int:
         "config_digest": digest,
         "checkpoint_meta": meta,
         "session_id": session.session_id,
-        "metrics": report.as_dict(),
+        "metrics": metrics,
         "energy": energies,
     }
+    text = dump_json(payload, ckpt.CheckpointError, f"eval report of {checkpoint_path}", indent=2)
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "metrics.json", "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
     lines = [f"# config_digest={digest}"]
-    for k, v in sorted(report.as_dict().items()):
+    for k, v in sorted(metrics.items()):
         lines.append(f"{k} = {v!r}")
     for mode, rep in energies.items():
         for k, v in sorted(rep.items()):

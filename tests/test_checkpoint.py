@@ -6,6 +6,7 @@ import pytest
 
 from helpers import set_masks
 
+from spikeprune import _files
 from spikeprune.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -98,6 +99,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             save_checkpoint(p, net)
         assert list(tmp_path.iterdir()) == []
+
+    def test_header_past_the_nesting_bound_is_not_written(self, tmp_path):
+        # save_checkpoint parses its own header: one at the bound round-trips,
+        # one a level deeper is refused before the file is opened
+        def meta(depth):  # the header nests depth deep: itself, meta and the lists
+            x = []
+            for _ in range(depth - 3):
+                x = [x]
+            return {"x": x}
+
+        net, at = make_net(), tmp_path / "at.ckpt"
+        save_checkpoint(at, net, meta=meta(_files.MAX_JSON_DEPTH))
+        assert load_checkpoint(at)[1] == meta(_files.MAX_JSON_DEPTH)
+        with pytest.raises(CheckpointError, match="nests too deeply"):
+            save_checkpoint(tmp_path / "past.ckpt", net, meta=meta(_files.MAX_JSON_DEPTH + 1))
+        assert list(tmp_path.iterdir()) == [at]
 
     def test_truncated(self, tmp_path):
         net = make_net()
@@ -254,6 +271,8 @@ class TestStrictBoundary:
             with_header(canonical[:-1] + b',"seed":%d}' % header["seed"]),
             # a float past float64 parses as inf, which the re-dump refuses
             with_header(canonical.replace(b'"target_loss":0.25', b'"target_loss":1e999')),
+            # a NaN in meta: only the finite-only re-encode refuses it
+            with_header(canonical.replace(b'"target_loss":0.25', b'"target_loss":NaN')),
             with_header(json.dumps(extra, sort_keys=True, separators=(",", ":")).encode()),
             with_header(json.dumps(missing, sort_keys=True, separators=(",", ":")).encode()),
             edited(seed=True),

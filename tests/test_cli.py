@@ -572,7 +572,7 @@ class TestErrorExits:
         before = sorted(tmp_path.rglob("*"))
         for command in ("eval", "prune"):
             assert main([command, "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
-            assert f"{key} does not fit a float64" in capsys.readouterr().err
+            assert f"lif.{key} must be a finite number" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_deeply_nested_checkpoint_meta_is_data_error(self, tmp_path, capsys):
@@ -592,6 +592,40 @@ class TestErrorExits:
             assert main([command, "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
             assert "nests too deeply" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_prune_output_nesting_past_the_bound_is_data_error(self, tmp_path, capsys):
+        # a meta at the nesting bound loads, but prune nests it one level
+        # deeper as source_checkpoint_meta: save_checkpoint parses its own
+        # header and refuses it before opening the file
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        deep = []
+        for _ in range(_files.MAX_JSON_DEPTH - 3):  # header and meta are 2 levels
+            deep = [deep]
+        ckpt = tmp_path / "deep.ckpt"
+        save_checkpoint(ckpt, session_net((4, 3, 4)), meta={"x": deep})
+        assert main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["prune", "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
+        assert "nests too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "pruned.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_metric_is_data_error(self, tmp_path, capsys):
+        # finite weights whose prediction overflows: metrics.json would hold
+        # "r2": -Infinity, which is not JSON
+        p, _ = write_config(tmp_path)
+        assert main(["synth", "--config", str(p)]) == EXIT_OK
+        net = session_net((3, 3, 3))
+        for layer in net.layers:
+            layer.weights *= 1e300
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(ckpt, net)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(p), "--checkpoint", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: checkpoint {ckpt} metrics.r2 must be a finite number")
+        assert not (tmp_path / "out").exists()
 
 
 class _DiskFull:

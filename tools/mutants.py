@@ -18,9 +18,9 @@ Standard library only and not part of tier-1. CI runs a subset of them
 after tier-1 (the mutant step of .github/workflows/tier1.yml, which names
 them), so CI fails if tier-1 stops killing a mutant of the training
 kernel's operands and carry factors, of the windows' input rows, of the
-zeroing of masked weights, of the controller's rollback, or of the eval
-wavefront. A mutant takes about as long as tier-1 up to its first failure
-(tier-1 is about 30 s on 2 cores).
+zeroing of masked weights, of the controller's rollback, of the eval
+wavefront, or of the checkpoint round trip. A mutant takes about as long
+as tier-1 up to its first failure (tier-1 is about 30 s on 2 cores).
 """
 
 import os
@@ -69,8 +69,8 @@ MUTANTS = [
     # eval, data and the CLI
     ("eval-neurons-without-readout", PKG + "cli.py",
      "n_neurons = sum(net.config.layer_dims[1:])", "n_neurons = sum(net.config.layer_dims[1:-1])"),
-    ("config-duplicate-keys-accepted", PKG + "cli.py",
-     "json.load(f, object_pairs_hook=_unique_keys)", "json.load(f)"),
+    ("report-allows-nan", PKG + "cli.py",
+     "check_schema(metrics, dict.fromkeys(metrics, 0.0)", "(metrics, dict.fromkeys(metrics, 0.0)"),
     ("split-val-length-rounded", PKG + "data.py",
      "n_val = int(SPLIT_FRACTIONS[1] * length)", "n_val = round(SPLIT_FRACTIONS[1] * length)"),
     ("layer-keeps-masked-weights", PKG + "network.py",
@@ -93,7 +93,11 @@ MUTANTS = [
      "else u[-1] * (1.0 - s[-1]) + p.reset_value * s[-1]", "else u[-1]"),
     ("r2-mean-over-the-wrong-axis", PKG + "metrics.py",
      "truth.mean(axis=1, keepdims=True)", "truth.mean(axis=0, keepdims=True)"),
-    ("checkpoint-writes-non-finite-floats", PKG + "checkpoint.py",
+    # the JSON rules
+    ("config-duplicate-keys-accepted", PKG + "_files.py",
+     "json.loads(text, object_pairs_hook=unique_keys)", "json.loads(text)"),
+    ("header-roundtrip-skipped", PKG + "checkpoint.py", "    _parse_header(blob, path)\n", ""),
+    ("checkpoint-writes-non-finite-floats", PKG + "_files.py",
      "allow_nan=False", "allow_nan=True"),
     # training and synthesis
     ("adam-without-second-moment-correction", PKG + "training.py",
